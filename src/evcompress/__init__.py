@@ -32,6 +32,7 @@ from .errors import (
 )
 from .events import (
     Event,
+    EventArray,
     EventWindow,
     SensorGeometry,
     compute_density,

@@ -2,17 +2,20 @@
 
 Each transform is forced over the whole stream and the encode + prune +
 pack path is timed per window (windowization and I/O excluded; a warm-up
-pass over all windows is run first and never counted).  Throughput is
-events processed divided by total encode time.  Runs are single-threaded by
-default so the per-encoder numbers are directly comparable; ``threads > 1``
-spreads windows over a thread pool and is reported as a separate mode.
+pass over all windows is run first and never counted; the cyclic garbage
+collector is paused while it runs).  Throughput is events processed divided
+by the wall time of the repetitions, never by a sum of per-window times.
+Runs are single-threaded by default so the per-encoder numbers are directly
+comparable; ``threads > 1`` spreads windows over a thread pool and is
+reported as a separate mode.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -74,17 +77,28 @@ def bench_encoders(
             force_transform=transform,
         )
 
-        def run_once() -> np.ndarray:
+        def run_once() -> tuple[np.ndarray, float]:
+            started = time.perf_counter()
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     snaps = list(pool.map(lambda w: compress_window(w, config, None)[1], windows))
             else:
                 snaps = [compress_window(w, config, None)[1] for w in windows]
-            return np.array([s.encode_seconds for s in snaps])
+            return np.array([s.encode_seconds for s in snaps]), time.perf_counter() - started
 
-        run_once()  # warm-up, excluded from statistics
-        per_window = np.concatenate([run_once() for _ in range(repetitions)])
-        total_seconds = float(per_window.sum())
+        # As timeit does: a full collection walks every object the calling
+        # process holds, so its pauses would time the caller's heap.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_once()  # warm-up, excluded from statistics
+            runs = [run_once() for _ in range(repetitions)]
+        finally:
+            if enabled:
+                gc.enable()
+        per_window = np.concatenate([times for times, _ in runs])
+        # wall time: per-window times overlap when windows run in parallel
+        total_seconds = sum(wall for _, wall in runs)
         mean_window_seconds.append(float(per_window.mean()))
         results[transform] = EncoderBenchmark(
             transform=transform,
@@ -94,15 +108,9 @@ def bench_encoders(
             relative_efficiency=0.0,
         )
     best = max(b.throughput_kev_s for b in results.values())
-    for transform, bench in results.items():
-        results[transform] = EncoderBenchmark(
-            transform=bench.transform,
-            mean_ms=bench.mean_ms,
-            std_ms=bench.std_ms,
-            throughput_kev_s=bench.throughput_kev_s,
-            # ratio first: the best transform lands on exactly 100.0
-            relative_efficiency=100.0 * (bench.throughput_kev_s / best),
-        )
+    results = {  # ratio first: the best transform lands on exactly 100.0
+        t: replace(b, relative_efficiency=100.0 * (b.throughput_kev_s / best)) for t, b in results.items()
+    }
     resolution = time.get_clock_info("perf_counter").resolution
     timer_reliable = resolution <= 0.01 * min(mean_window_seconds)
     return BenchReport(

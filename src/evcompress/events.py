@@ -5,6 +5,10 @@ Windows are half-open time slices ``[t_start, t_start + duration)``; an event
 whose timestamp equals the upper edge belongs to the next window, so
 consecutive windows tile a stream without double counting.
 
+Events travel as columns (:class:`EventArray`), with no per-event object
+between a file and the encoder; :class:`Event` is the validated row type for
+tests and small inputs, converted to columns once.
+
 Timestamps are stored as double-precision seconds.  Event cameras report
 integer microseconds; doubles hold those exactly over realistic session
 lengths, so convert at ingestion and keep seconds everywhere else.
@@ -13,9 +17,8 @@ lengths, so convert at ingestion and keep seconds everywhere else.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import ValidationError
 
 __all__ = [
     "Event",
+    "EventArray",
     "SensorGeometry",
     "EventWindow",
     "make_window",
@@ -73,6 +77,71 @@ class SensorGeometry:
         return self.height * self.width
 
 
+class EventArray(Sequence[Event]):
+    """Events as read-only columns: ``t`` f64 seconds, ``x``/``y`` i64, ``p`` i8.
+
+    Every row passes the checks of :class:`Event`; a bad one raises
+    :class:`ValidationError` naming the first, as ``where(index)`` spells it.
+    As a ``Sequence[Event]``, indexing and iteration yield :class:`Event`
+    rows, slicing yields an :class:`EventArray` of views, and ``==`` also
+    compares against a list or tuple of events.
+    """
+
+    __slots__ = ("t", "x", "y", "p")
+
+    def __init__(self, t, x, y, p, *, where: Callable[[int], str] = lambda i: f"event {i}") -> None:
+        t, x, y, p = (np.asarray(column) for column in (t, x, y, p))
+        if not (t.ndim == x.ndim == y.ndim == p.ndim == 1 and t.size == x.size == y.size == p.size):
+            shapes = [c.shape for c in (t, x, y, p)]
+            raise ValidationError(f"event columns must be 1-D and of one length, got shapes {shapes}")
+        bad = ~np.isfinite(t) | (t < 0.0) | ((p != 1) & (p != -1)) | (x < 0) | (y < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            try:
+                Event(float(t[i]), int(x[i]), int(y[i]), int(p[i]))
+            except ValidationError as exc:  # the row type words the fault
+                raise ValidationError(f"{where(i)}: {exc}") from None
+        dtypes = (np.float64, np.int64, np.int64, np.int8)
+        for name, column, dtype in zip(self.__slots__, (t, x, y, p), dtypes):
+            column = np.ascontiguousarray(column, dtype=dtype).view()  # the caller's array stays writable
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_events(cls, events: Iterable[Event]) -> EventArray:
+        """Columns of ``events`` in their order; an :class:`EventArray` is returned as is."""
+        if isinstance(events, EventArray):
+            return events
+        return cls(*np.array([(ev.t, ev.x, ev.y, ev.p) for ev in events], dtype=np.float64).reshape(-1, 4).T)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("EventArray is read-only")
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            out = object.__new__(EventArray)  # rows of a valid array need no checks
+            for name in self.__slots__:
+                column = getattr(self, name)[index]  # a view for a slice, a copy for an index array
+                column.flags.writeable = False
+                object.__setattr__(out, name, column)
+            return out
+        return Event(float(self.t[index]), int(self.x[index]), int(self.y[index]), int(self.p[index]))
+
+    def __iter__(self) -> Iterator[Event]:
+        for t, x, y, p in zip(self.t.tolist(), self.x.tolist(), self.y.tolist(), self.p.tolist()):
+            yield Event(t, x, y, p)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventArray):
+            return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.__slots__)
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class EventWindow:
     """A half-open time slice ``[t_start, t_start + duration)`` of a stream.
@@ -85,7 +154,7 @@ class EventWindow:
 
     t_start: float
     duration: float
-    events: tuple[Event, ...]
+    events: EventArray
     geometry: SensorGeometry
 
     def __post_init__(self) -> None:
@@ -97,22 +166,10 @@ class EventWindow:
     def __len__(self) -> int:
         return len(self.events)
 
-    @cached_property
+    @property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Event fields as parallel arrays ``(t, x, y, p)``, cached per window."""
-        n = len(self.events)
-        t = np.empty(n, dtype=np.float64)
-        x = np.empty(n, dtype=np.int64)
-        y = np.empty(n, dtype=np.int64)
-        p = np.empty(n, dtype=np.float64)
-        for i, ev in enumerate(self.events):
-            t[i] = ev.t
-            x[i] = ev.x
-            y[i] = ev.y
-            p[i] = ev.p
-        for arr in (t, x, y, p):
-            arr.setflags(write=False)
-        return t, x, y, p
+        """Event fields as parallel read-only arrays ``(t, x, y, p)``."""
+        return self.events.t, self.events.x, self.events.y, self.events.p
 
 
 def make_window(
@@ -127,22 +184,20 @@ def make_window(
     preserved.  Raises :class:`ValidationError` identifying the offending
     event index for out-of-range coordinates or out-of-window timestamps.
     """
-    evs = list(events)
+    evs = EventArray.from_events(events)
     if not math.isfinite(duration) or duration <= 0.0:
         raise ValidationError(f"window duration must be finite and > 0, got {duration!r}")
     t_end = t_start + duration
     h, w = geometry.height, geometry.width
-    for i, ev in enumerate(evs):
-        if not (0 <= ev.x < w) or not (0 <= ev.y < h):
-            raise ValidationError(
-                f"event {i}: coordinates ({ev.x}, {ev.y}) outside {h}x{w} sensor"
-            )
-        if not (t_start <= ev.t < t_end):
-            raise ValidationError(
-                f"event {i}: timestamp {ev.t!r} outside window [{t_start!r}, {t_end!r})"
-            )
-    evs.sort(key=lambda ev: ev.t)  # timsort is stable: ties keep input order
-    return EventWindow(t_start=t_start, duration=duration, events=tuple(evs), geometry=geometry)
+    outside = (evs.x >= w) | (evs.y >= h)
+    bad = np.flatnonzero(outside | (evs.t < t_start) | (evs.t >= t_end))
+    if bad.size:
+        ev = evs[int(bad[0])]
+        if outside[bad[0]]:
+            raise ValidationError(f"event {bad[0]}: coordinates ({ev.x}, {ev.y}) outside {h}x{w} sensor")
+        raise ValidationError(f"event {bad[0]}: timestamp {ev.t!r} outside window [{t_start!r}, {t_end!r})")
+    order = np.argsort(evs.t, kind="stable")  # stable: ties keep input order
+    return EventWindow(t_start=t_start, duration=duration, events=evs[order], geometry=geometry)
 
 
 def compute_density(window: EventWindow) -> float:

@@ -7,6 +7,10 @@ Event files come in two shapes:
 * A flat little-endian binary mirror of the same fields:
   ``f64 t, u16 x, u16 y, i8 p`` per record.
 
+:func:`read_events` and :func:`emulate` return an
+:class:`~evcompress.events.EventArray`: the binary file is viewed as a record
+array and the CSV parsed by numpy, with every check made on whole columns.
+
 Descriptor files carry a fixed header (magic ``EECV``, version 1) followed
 by per-pixel retained-coefficient records; see :func:`write_descriptor` for
 the exact byte layout.  Values are stored as f32 while all accumulation
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -27,7 +32,7 @@ import numpy as np
 
 from .calibration import TransformKind
 from .errors import ConfigurationError, FormatError, ParseError, ValidationError
-from .events import Event, SensorGeometry
+from .events import Event, EventArray, SensorGeometry
 from .pruning import RetainedCoefficient, WindowDescriptor
 from .transforms import AtomGrid
 
@@ -42,7 +47,8 @@ __all__ = [
 ]
 
 EVENT_CSV_HEADER = "t,x,y,p"
-_EVENT_RECORD = struct.Struct("<dHHb")
+_EVENT_RECORD = np.dtype([("t", "<f8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
+_CSV_ROW = np.dtype([("t", "<f8"), ("x", "<i8"), ("y", "<i8"), ("p", "<i8")])
 _COORD_MAX = 0xFFFF
 
 DESCRIPTOR_MAGIC = b"EECV"
@@ -55,21 +61,13 @@ _ENTRY_COMPLEX = struct.Struct("<Hff")  # atom position, re, im
 EMULATOR_PATTERNS = ("uniform-noise", "moving-dot", "moving-edge")
 
 
-def _map_polarity(raw: int) -> int:
-    # {0, 1} inputs use the dataset convention 0 -> -1
-    if raw == 0:
-        return -1
-    if raw in (-1, 1):
-        return raw
-    raise ValidationError(f"polarity must be -1, 0, or 1, got {raw}")
-
-
-def read_events(path: str | Path, format: str = "csv") -> list[Event]:
-    """Read an event file, preserving file order.
+def read_events(path: str | Path, format: str = "csv") -> EventArray:
+    """Read an event file into columns, preserving file order.
 
     Raises :class:`ParseError` (with line number) for malformed CSV rows,
     :class:`FormatError` for malformed binary payloads, and
-    :class:`ValidationError` for out-of-range field values.
+    :class:`ValidationError` for out-of-range field values; binary faults
+    name the record and its byte offset.
     """
     path = Path(path)
     if format == "csv":
@@ -79,69 +77,72 @@ def read_events(path: str | Path, format: str = "csv") -> list[Event]:
     raise ConfigurationError(f"unknown event format {format!r}")
 
 
-def _read_events_csv(path: Path) -> list[Event]:
-    events: list[Event] = []
+def _read_events_csv(path: Path) -> EventArray:
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != EVENT_CSV_HEADER:
             raise ParseError(f"line 1: expected header {EVENT_CSV_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file holds no rows
+                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+            if not np.any((rows["x"] > _COORD_MAX) | (rows["y"] > _COORD_MAX)):
+                return EventArray(rows["t"], rows["x"], rows["y"], np.where(rows["p"] == 0, -1, rows["p"]))
+            failure = "coordinate overflows u16"
+        except ValueError as exc:  # a ValidationError too
+            failure = str(exc)
+        # numpy does not name the file line, so read the rows again one at a time
+        fh.seek(0)
+        for lineno, line in enumerate(fh.read().split("\n")[1:], start=2):
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
             try:
-                t = float(parts[0])
-                x = int(parts[1])
-                y = int(parts[2])
-                p = int(parts[3])
+                t, x, y, p = float(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ParseError(f"line {lineno}: {exc}") from None
             if x > _COORD_MAX or y > _COORD_MAX:
                 raise ValidationError(f"line {lineno}: coordinate overflows u16: ({x}, {y})")
             try:
-                events.append(Event(t=t, x=x, y=y, p=_map_polarity(p)))
+                Event(t=t, x=x, y=y, p=-1 if p == 0 else p)
             except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-    return events
+                raise ValidationError(f"line {lineno}: {exc}") from None
+    raise ParseError(failure)  # a number Python reads and numpy does not, such as 1_000
 
 
-def _read_events_binary(path: Path) -> list[Event]:
+def _read_events_binary(path: Path) -> EventArray:
     blob = path.read_bytes()
-    record = _EVENT_RECORD.size
-    if len(blob) % record:
-        offset = len(blob) - len(blob) % record
-        raise FormatError(f"byte {offset}: truncated event record ({len(blob) % record} stray bytes)")
-    events: list[Event] = []
-    for i, (t, x, y, p) in enumerate(_EVENT_RECORD.iter_unpack(blob)):
-        try:
-            events.append(Event(t=t, x=x, y=y, p=_map_polarity(p)))
-        except ValidationError as exc:
-            raise ValidationError(f"record {i} (byte {i * record}): {exc}") from exc
-    return events
+    size = _EVENT_RECORD.itemsize
+    if len(blob) % size:
+        offset = len(blob) - len(blob) % size
+        raise FormatError(
+            f"record {offset // size} (byte {offset}): truncated event record ({len(blob) % size} stray bytes)"
+        )
+    records = np.frombuffer(blob, dtype=_EVENT_RECORD)
+    p = records["p"]
+    return EventArray(records["t"], records["x"], records["y"], np.where(p == 0, np.int8(-1), p),
+                      where=lambda i: f"record {i} (byte {i * size})")
 
 
 def write_events(path: str | Path, events: Iterable[Event], format: str = "csv") -> None:
     """Write events in file order to CSV or the binary record format."""
     path = Path(path)
-    events = list(events)
+    events = EventArray.from_events(events)
     if format == "csv":
-        lines = [EVENT_CSV_HEADER]
-        lines.extend(f"{ev.t!r},{ev.x},{ev.y},{ev.p}" for ev in events)
+        rows = zip(events.t.tolist(), events.x.tolist(), events.y.tolist(), events.p.tolist())
+        lines = [EVENT_CSV_HEADER, *(f"{t!r},{x},{y},{p}" for t, x, y, p in rows)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return
     if format == "binary":
-        for ev in events:
-            if ev.x > _COORD_MAX or ev.y > _COORD_MAX:
-                raise ValidationError(f"coordinate overflows u16: ({ev.x}, {ev.y})")
-        arr = np.empty(
-            len(events), dtype=np.dtype([("t", "<f8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
-        )
-        for i, ev in enumerate(events):
-            arr[i] = (ev.t, ev.x, ev.y, ev.p)
-        path.write_bytes(arr.tobytes())
+        wide = np.flatnonzero((events.x > _COORD_MAX) | (events.y > _COORD_MAX))
+        if wide.size:
+            raise ValidationError(f"coordinate overflows u16: ({events.x[wide[0]]}, {events.y[wide[0]]})")
+        records = np.empty(len(events), dtype=_EVENT_RECORD)
+        for name in _EVENT_RECORD.names:
+            records[name] = getattr(events, name)
+        path.write_bytes(records.tobytes())
         return
     raise ConfigurationError(f"unknown event format {format!r}")
 
@@ -154,7 +155,8 @@ def write_descriptor(descriptor: WindowDescriptor, path: str | Path) -> None:
     duration f64, budget u16, candidate_count u16, pixel_count u32; then per
     pixel: x u16, y u16, r u16 and ``r`` entries of atom position u16 plus
     value f32 (re and im f32 when the transform is DTFT).  Pixels are
-    written sorted by (y, x).
+    written sorted by (y, x).  A value beyond the f32 range raises
+    :class:`FormatError` naming its pixel and atom position.
     """
     geo = descriptor.geometry
     for name, value in (("height", geo.height), ("width", geo.width),
@@ -180,11 +182,17 @@ def write_descriptor(descriptor: WindowDescriptor, path: str | Path) -> None:
         retained = descriptor.pixels[(x, y)]
         parts.append(_PIXEL_HEADER.pack(x, y, len(retained)))
         for rc in retained:
-            if descriptor.transform is TransformKind.DTFT:
-                value = complex(rc.value)
-                parts.append(entry.pack(rc.index.position, value.real, value.imag))
-            else:
-                parts.append(entry.pack(rc.index.position, rc.value))
+            try:
+                if descriptor.transform is TransformKind.DTFT:
+                    value = complex(rc.value)
+                    parts.append(entry.pack(rc.index.position, value.real, value.imag))
+                else:
+                    parts.append(entry.pack(rc.index.position, rc.value))
+            except OverflowError as exc:
+                raise FormatError(
+                    f"pixel ({x}, {y}) atom position {rc.index.position}: "
+                    f"value {rc.value!r} outside the float32 range"
+                ) from exc
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -303,7 +311,7 @@ class EmulatorConfig:
             raise ConfigurationError(f"polarity bias must lie in [0, 1], got {self.polarity_bias}")
 
 
-def emulate(config: EmulatorConfig) -> list[Event]:
+def emulate(config: EmulatorConfig) -> EventArray:
     """Generate a synthetic event stream, sorted by timestamp.
 
     Deterministic for a fixed seed.  Timestamps are quantized to whole
@@ -313,7 +321,7 @@ def emulate(config: EmulatorConfig) -> list[Event]:
     geo = config.geometry
     n = int(rng.poisson(config.rate * geo.pixel_count * config.duration))
     if n == 0:
-        return []
+        return EventArray([], [], [], [])
     t = np.floor(rng.random(n) * config.duration * 1e6) / 1e6
     if config.pattern == "uniform-noise":
         x = rng.integers(0, geo.width, n)
@@ -331,7 +339,4 @@ def emulate(config: EmulatorConfig) -> list[Event]:
         y = rng.integers(0, geo.height, n)
     p = np.where(rng.random(n) < config.polarity_bias, 1, -1)
     order = np.argsort(t, kind="stable")
-    return [
-        Event(t=float(t[i]), x=int(x[i]), y=int(y[i]), p=int(p[i]))
-        for i in order
-    ]
+    return EventArray(t[order], x[order], y[order], p[order])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .calibration import DensityThresholds, Regime, TransformKind, classify_regime, select_transform
 from .errors import ConfigurationError, ContractError, EvCompressError, PipelineError
-from .events import Event, EventWindow, SensorGeometry, compute_density
+from .events import Event, EventArray, EventWindow, SensorGeometry, compute_density
 from .pruning import RetentionPolicy, WindowDescriptor, pack_descriptor, retention_budget
 from .transforms import encode_window
 
@@ -56,7 +56,6 @@ class PipelineConfig:
     window_duration: float = 0.033
     budget: int = 16
     candidate_count: int = 64
-    grid_samples: int = 128
     force_transform: TransformKind | None = None
 
     def __post_init__(self) -> None:
@@ -66,8 +65,6 @@ class PipelineConfig:
             raise ConfigurationError(f"budget must be >= 1, got {self.budget}")
         if self.candidate_count < 1:
             raise ConfigurationError(f"candidate_count must be >= 1, got {self.candidate_count}")
-        if self.grid_samples < 2:
-            raise ConfigurationError(f"grid_samples must be >= 2, got {self.grid_samples}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,14 +117,12 @@ class DecisionLog:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _window_index(t: float, duration: float) -> int:
-    k = int(t // duration)
+def _window_index(t: np.ndarray, duration: float) -> np.ndarray:
+    k = np.floor_divide(t, duration)
     # float division can land one window off near exact boundaries
-    if (k + 1) * duration <= t:
-        k += 1
-    elif k * duration > t:
-        k -= 1
-    return k
+    k += (k + 1.0) * duration <= t
+    k -= k * duration > t
+    return k.astype(np.int64)
 
 
 def windowize(
@@ -139,40 +134,31 @@ def windowize(
 
     Windows start at the first event's window index (aligned to absolute
     time 0) and run through the last event's; empty windows in between are
-    emitted.  Raises :class:`ContractError` on unsorted input or
-    out-of-geometry coordinates.
+    emitted.  Each window's events are a slice of the stream's columns.
+    Raises :class:`ContractError` on unsorted input or out-of-geometry
+    coordinates.
     """
     if not math.isfinite(duration) or duration <= 0.0:
         raise ConfigurationError(f"window duration must be > 0, got {duration}")
-    events = list(events)
-    if not events:
+    events = EventArray.from_events(events)
+    if not len(events):
         return []
-    ts = np.array([ev.t for ev in events], dtype=np.float64)
-    if np.any(np.diff(ts) < 0.0):
+    if np.any(np.diff(events.t) < 0.0):
         raise ContractError("events must be sorted by timestamp before windowing")
-    xs = np.array([ev.x for ev in events])
-    ys = np.array([ev.y for ev in events])
-    bad = np.flatnonzero((xs >= geometry.width) | (ys >= geometry.height))
+    bad = np.flatnonzero((events.x >= geometry.width) | (events.y >= geometry.height))
     if bad.size:
         i = int(bad[0])
         raise ContractError(
-            f"event {i}: coordinates ({events[i].x}, {events[i].y}) outside "
+            f"event {i}: coordinates ({events.x[i]}, {events.y[i]}) outside "
             f"{geometry.height}x{geometry.width} sensor"
         )
-    ks = np.array([_window_index(t, duration) for t in ts], dtype=np.int64)
-    windows: list[EventWindow] = []
-    for k in range(int(ks[0]), int(ks[-1]) + 1):
-        i0 = int(np.searchsorted(ks, k, side="left"))
-        i1 = int(np.searchsorted(ks, k, side="right"))
-        windows.append(
-            EventWindow(
-                t_start=k * duration,
-                duration=duration,
-                events=tuple(events[i0:i1]),
-                geometry=geometry,
-            )
-        )
-    return windows
+    ks = _window_index(events.t, duration)
+    first, last = int(ks[0]), int(ks[-1])
+    edges = np.searchsorted(ks, np.arange(first, last + 2)).tolist()
+    return [
+        EventWindow(t_start=k * duration, duration=duration, events=events[lo:hi], geometry=geometry)
+        for k, lo, hi in zip(range(first, last + 1), edges, edges[1:])
+    ]
 
 
 def compress_window(

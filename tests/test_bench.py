@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
+import evcompress.bench
 from evcompress import (
     ContractError,
     EmulatorConfig,
@@ -11,6 +14,7 @@ from evcompress import (
     bench_encoders,
     emulate,
 )
+from evcompress.pipeline import DensitySnapshot
 
 GEO = SensorGeometry(height=8, width=8)
 
@@ -66,3 +70,18 @@ class TestBenchEncoders:
             small_stream(), GEO, budget=8, candidate_count=16, repetitions=5, threads=2
         )
         assert report.threads == 2
+
+    def test_parallel_throughput_divides_by_wall_time(self, monkeypatch):
+        def sleepy(window, config, thresholds, window_index=0):
+            time.sleep(0.01)
+            return None, DensitySnapshot(window_index, 0.0, None, config.force_transform, len(window), 0.01)
+
+        monkeypatch.setattr(evcompress.bench, "compress_window", sleepy)
+        stream = small_stream()  # four windows of 50 ms: two rounds of two threads
+        one = bench_encoders(stream, GEO, budget=8, candidate_count=16, repetitions=5, window_duration=0.05)
+        two = bench_encoders(stream, GEO, budget=8, candidate_count=16, repetitions=5, window_duration=0.05,
+                             threads=2)
+        assert one.window_count == 4
+        for transform in TransformKind:
+            ratio = two.encoders[transform].throughput_kev_s / one.encoders[transform].throughput_kev_s
+            assert 1.6 < ratio < 2.4

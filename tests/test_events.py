@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evcompress import (
+    EmulatorConfig,
     Event,
+    EventArray,
     SensorGeometry,
     ValidationError,
     compute_density,
+    emulate,
     make_window,
     normalize_times,
 )
@@ -37,6 +40,68 @@ class TestEvent:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValidationError):
             Event(**kwargs)
+
+
+class TestEventArray:
+    def rows(self):
+        return [Event(0.0, 1, 0, 1), Event(0.25, 0, 1, -1), Event(0.5, 1, 1, 1)]
+
+    def test_behaves_as_a_sequence_of_events(self):
+        rows = self.rows()
+        arr = EventArray.from_events(rows)
+        assert len(arr) == 3
+        assert arr[1] == rows[1] and arr[-1] == rows[-1]
+        assert list(arr) == rows
+        assert arr == rows and arr == tuple(rows)
+        assert arr != rows[:2] and arr != [*rows[:2], Event(0.5, 1, 1, -1)]
+        assert rows[2] in arr
+        with pytest.raises(IndexError):
+            arr[3]
+
+    def test_slices_are_event_arrays(self):
+        arr = EventArray.from_events(self.rows())
+        part = arr[1:]
+        assert isinstance(part, EventArray)
+        assert part == self.rows()[1:]
+        assert part == EventArray([0.25, 0.5], [0, 1], [1, 1], [-1, 1])
+
+    def test_column_dtypes(self):
+        arr = EventArray.from_events(self.rows())
+        assert [c.dtype for c in (arr.t, arr.x, arr.y, arr.p)] == [np.float64, np.int64, np.int64, np.int8]
+
+    def test_read_only(self):
+        arr = EventArray.from_events(self.rows())
+        with pytest.raises(ValueError):
+            arr.t[0] = 1.0
+        with pytest.raises(AttributeError):
+            arr.p = np.ones(3, dtype=np.int8)
+        with pytest.raises(TypeError):
+            arr[0] = Event(0.0, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("t", -1.0), ("t", float("nan")), ("x", -1), ("y", -2), ("p", 0), ("p", 257)],
+    )
+    def test_rejects_bad_rows_naming_the_first(self, column, value):
+        cols = dict(t=[0.0, 0.1, 0.2], x=[0, 0, 0], y=[0, 0, 0], p=[1, 1, 1])
+        cols[column][1] = value
+        cols[column][2] = value
+        with pytest.raises(ValidationError, match="event 1"):
+            EventArray(**cols)
+
+    def test_rejects_unequal_columns(self):
+        with pytest.raises(ValidationError):
+            EventArray([0.0, 1.0], [0], [0], [1])
+
+    def test_emulated_rows_match_columns(self):
+        arr = emulate(EmulatorConfig(geometry=GEO, duration=0.2, rate=200.0, seed=4))
+        rebuilt = EventArray.from_events(list(arr))
+        assert rebuilt == arr and len(arr) > 0
+
+    def test_window_columns_are_the_event_arrays(self):
+        w = make_window(list(reversed(self.rows())), 0.0, 1.0, GEO)  # sorting takes an index array
+        assert w.columns == (w.events.t, w.events.x, w.events.y, w.events.p)
+        assert not any(column.flags.writeable for column in w.columns)
 
 
 class TestMakeWindow:

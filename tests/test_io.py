@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evcompress import (
     AtomGrid,
     ConfigurationError,
     EmulatorConfig,
+    EvCompressError,
     Event,
     FormatError,
     ParseError,
@@ -132,6 +136,73 @@ class TestEventBinary:
             read_events(tmp_path / "x", "json")
 
 
+RECORD = 13  # <f8,<u2,<u2,<i1
+
+
+def read_mangled(blob: bytes, name: str, format: str):
+    """``read_events`` on ``blob``; returns the error it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(blob)
+        with pytest.raises(EvCompressError) as info:
+            read_events(path, format)
+    return info.value
+
+
+def valid_binary(count: int) -> bytearray:
+    blob = bytearray()
+    for i in range(count):
+        blob += struct.pack("<dHHb", 0.001 * i, i % 7, i % 5, (0, 1, -1)[i % 3])
+    return blob
+
+
+class TestEventReaderFuzz:
+    """Damaged files raise the error taxonomy, naming the first bad record and its byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_truncated_binary(self, count, data):
+        cut = data.draw(st.integers(0, count * RECORD - 1).filter(lambda n: n % RECORD))
+        err = read_mangled(bytes(valid_binary(count)[:cut]), "e.bin", "binary")
+        assert isinstance(err, FormatError)
+        assert f"record {cut // RECORD} (byte {cut // RECORD * RECORD})" in str(err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_bad_polarity_or_timestamp_binary(self, count, data):
+        blob = valid_binary(count)
+        indices = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=4, unique=True))
+        for i in indices:
+            if data.draw(st.booleans()):
+                blob[i * RECORD + 12] = data.draw(st.integers(2, 254))  # as i8: every value but -1, 0, 1
+            else:
+                bad_t = data.draw(st.sampled_from([math.nan, -math.inf, math.inf]) | st.floats(max_value=-1e-300))
+                struct.pack_into("<d", blob, i * RECORD, bad_t)
+        err = read_mangled(bytes(blob), "e.bin", "binary")
+        assert isinstance(err, ValidationError)
+        first = min(indices)
+        assert f"record {first} (byte {first * RECORD})" in str(err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.data())
+    def test_malformed_csv_row(self, count, data):
+        rows = [f"{0.001 * i!r},{i % 7},{i % 5},{i % 2}" for i in range(count)]
+        bad = data.draw(st.integers(0, count - 1))
+        rows[bad] = data.draw(st.sampled_from(
+            ["0.1,2,3", "0.1,2,3,1,5", "abc,2,3,1", "0.1,x,3,1", "0.1,2,3.5,1", "0.1,2,3,", ",,,", "0.1;2;3;1"]
+        ))
+        blanks = data.draw(st.lists(st.integers(0, count), max_size=3))  # blank lines shift line numbers
+        lines = ["t,x,y,p"]
+        for i, row in enumerate(rows):
+            lines.extend([""] * blanks.count(i))
+            lines.append(row)
+            if i == bad:
+                lineno = len(lines)
+        err = read_mangled(("\n".join(lines) + "\n").encode(), "e.csv", "csv")
+        assert isinstance(err, ParseError)
+        assert f"line {lineno}:" in str(err)
+
+
 class TestDescriptorFile:
     def test_empty_descriptor_file_size(self, tmp_path):
         # oracle: sum of header field widths = 4+1+1+2+2+8+8+2+2+4 = 34
@@ -220,6 +291,20 @@ class TestDescriptorFile:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError, match="truncated"):
             read_descriptor(path)
+
+    def test_value_beyond_float32_range_names_pixel_and_position(self, tmp_path):
+        grid = AtomGrid(TransformKind.DCT, 8)
+        desc = WindowDescriptor(
+            transform=TransformKind.DCT,
+            geometry=GEO,
+            t_start=0.0,
+            duration=0.033,
+            budget=4,
+            candidate_count=8,
+            pixels={(3, 5): (RetainedCoefficient(grid.indices[2], 1e39),)},
+        )
+        with pytest.raises(FormatError, match=r"pixel \(3, 5\) atom position 2"):
+            write_descriptor(desc, tmp_path / "d.eecv")
 
     def test_atom_position_outside_grid(self, tmp_path):
         grid = AtomGrid(TransformKind.DCT, 8)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evcompress import (
     ConfigurationError,
@@ -25,7 +26,7 @@ from evcompress import (
     select_transform,
     windowize,
 )
-from evcompress.pipeline import DecisionLog, DensitySnapshot
+from evcompress.pipeline import DecisionLog, DensitySnapshot, _window_index
 
 GEO = SensorGeometry(height=8, width=8)
 THRESHOLDS = DensityThresholds(5.0, 50.0)
@@ -79,6 +80,31 @@ class TestWindowize:
         for w in windows:
             for ev in w.events:
                 assert w.t_start <= ev.t or np.isclose(w.t_start, ev.t)
+
+    def test_columns_and_rows_give_the_same_windows(self):
+        stream = emulate(EmulatorConfig(geometry=GEO, duration=0.3, rate=300.0, seed=21))
+        from_columns = windowize(stream, 0.025, GEO)
+        from_rows = windowize(list(stream), 0.025, GEO)
+        assert [(w.t_start, w.events) for w in from_columns] == [(w.t_start, w.events) for w in from_rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-4, 1.0),
+        st.lists(st.integers(0, 100_000), min_size=1, max_size=20),
+        st.lists(st.floats(0.0, 1e4), max_size=20),
+    )
+    def test_window_index_matches_scalar_reference(self, duration, ks, free):
+        def reference(t: float) -> int:  # the per-event form the vectorized one replaced
+            k = int(t // duration)
+            if (k + 1) * duration <= t:
+                k += 1
+            elif k * duration > t:
+                k -= 1
+            return k
+
+        edges = np.array(ks, dtype=np.float64) * duration
+        ts = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf).clip(0.0), free])
+        assert _window_index(ts, duration).tolist() == [reference(t) for t in ts.tolist()]
 
     def test_empty_stream(self):
         assert windowize([], 0.033, GEO) == []
