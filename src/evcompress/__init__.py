@@ -85,13 +85,13 @@ from .reconstruct import (
     reconstruct_pixel,
     render_original_frame,
     render_reconstructed_frame,
+    reconstruct_window,
 )
 from .transforms import (
     AtomGrid,
     AtomIndex,
     CoefficientVector,
-    atom_matrix,
-    atom_value,
+    atom_rows,
     encode_pixel,
     encode_window,
 )

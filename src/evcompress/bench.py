@@ -5,16 +5,14 @@ pack path is timed per window (windowization and I/O excluded; a warm-up
 pass over all windows is run first and never counted; the cyclic garbage
 collector is paused while it runs).  Throughput is events processed divided
 by the wall time of the repetitions, never by a sum of per-window times.
-Runs are single-threaded by default so the per-encoder numbers are directly
-comparable; ``threads > 1`` spreads windows over a thread pool and is
-reported as a separate mode.
+Runs are single-threaded, so the per-encoder numbers are directly
+comparable.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -47,7 +45,6 @@ class BenchReport:
     event_count: int
     window_count: int
     repetitions: int
-    threads: int
     timer_reliable: bool
 
 
@@ -58,7 +55,6 @@ def bench_encoders(
     candidate_count: int,
     repetitions: int,
     window_duration: float = 0.033,
-    threads: int = 1,
 ) -> BenchReport:
     """Benchmark DCT, DTFT, and DWT compression over the given stream."""
     if repetitions < 5:
@@ -79,11 +75,7 @@ def bench_encoders(
 
         def run_once() -> tuple[np.ndarray, float]:
             started = time.perf_counter()
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    snaps = list(pool.map(lambda w: compress_window(w, config, None)[1], windows))
-            else:
-                snaps = [compress_window(w, config, None)[1] for w in windows]
+            snaps = [compress_window(w, config, None)[1] for w in windows]
             return np.array([s.encode_seconds for s in snaps]), time.perf_counter() - started
 
         # As timeit does: a full collection walks every object the calling
@@ -97,7 +89,6 @@ def bench_encoders(
             if enabled:
                 gc.enable()
         per_window = np.concatenate([times for times, _ in runs])
-        # wall time: per-window times overlap when windows run in parallel
         total_seconds = sum(wall for _, wall in runs)
         mean_window_seconds.append(float(per_window.mean()))
         results[transform] = EncoderBenchmark(
@@ -118,6 +109,5 @@ def bench_encoders(
         event_count=event_count,
         window_count=len(windows),
         repetitions=repetitions,
-        threads=threads,
         timer_reliable=timer_reliable,
     )

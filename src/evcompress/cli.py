@@ -169,7 +169,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         candidate_count=args.atoms,
         repetitions=args.reps,
         window_duration=args.window_ms / 1e3,
-        threads=args.threads,
     )
     print(f"{'Method':<8}{'Time (ms)':>16}{'Speed (kevents/s)':>22}{'Relative Efficiency':>22}")
     rows = ["method,mean_ms,std_ms,kevents_per_s,relative_efficiency_pct"]
@@ -250,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", type=int, default=8)
     p.add_argument("--atoms", type=int, default=64)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="optional CSV path")
     add_format(p)
     p.set_defaults(func=_cmd_bench)

@@ -166,11 +166,6 @@ class EventWindow:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Event fields as parallel read-only arrays ``(t, x, y, p)``."""
-        return self.events.t, self.events.x, self.events.y, self.events.p
-
 
 def make_window(
     events: Iterable[Event],
@@ -215,5 +210,4 @@ def normalize_times(window: EventWindow) -> np.ndarray:
 
     Returns an array of values in ``[0, 1)`` in event order.
     """
-    t = window.columns[0]
-    return (t - window.t_start) / window.duration
+    return (window.events.t - window.t_start) / window.duration

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, ContractError, MetricUndefinedError
 from .events import EventWindow, normalize_times
 from .pruning import WindowDescriptor
-from .reconstruct import TimeGrid, reconstruct_pixel, render_original_frame, render_reconstructed_frame
+from .reconstruct import TimeGrid, reconstruct_window, render_original_frame
 
 __all__ = [
     "MetricsReport",
@@ -150,10 +150,7 @@ def event_time_histogram(window: EventWindow, bins: int) -> np.ndarray:
 
 def reconstructed_time_histogram(descriptor: WindowDescriptor, grid: TimeGrid) -> np.ndarray:
     """Rectified reconstructed mass per grid sample, pooled over pixels."""
-    hist = np.zeros(grid.samples, dtype=np.float64)
-    for retained in descriptor.pixels.values():
-        hist += np.abs(reconstruct_pixel(retained, descriptor.transform, grid))
-    return hist
+    return reconstruct_window(descriptor, grid)[1]
 
 
 def evaluate_window(
@@ -167,14 +164,11 @@ def evaluate_window(
     if not math.isclose(descriptor.duration, window.duration, rel_tol=1e-12, abs_tol=0.0):
         raise ContractError("descriptor duration does not match the window")
     original = render_original_frame(window)
-    reconstructed = render_reconstructed_frame(descriptor, grid)
+    reconstructed, mass = reconstruct_window(descriptor, grid)
     return MetricsReport(
         mse=mse(original, reconstructed),
         ssim=ssim(original, reconstructed),
-        emd=emd_temporal(
-            event_time_histogram(window, grid.samples),
-            reconstructed_time_histogram(descriptor, grid),
-        ),
+        emd=emd_temporal(event_time_histogram(window, grid.samples), mass),
     )
 
 

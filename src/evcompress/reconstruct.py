@@ -32,13 +32,14 @@ from .calibration import TransformKind
 from .errors import ConfigurationError, ContractError
 from .events import EventWindow
 from .pruning import RetainedCoefficient, WindowDescriptor
-from .transforms import _rows_at_positions
+from .transforms import atom_rows
 
 __all__ = [
     "TimeGrid",
     "reconstruct_pixel",
     "render_original_frame",
     "render_reconstructed_frame",
+    "reconstruct_window",
 ]
 
 
@@ -84,7 +85,7 @@ def reconstruct_pixel(
             )
     positions = np.array([rc.index.position for rc in retained], dtype=np.int64)
     values = np.array([rc.value for rc in retained])
-    atoms = _rows_at_positions(transform, positions, grid.points)
+    atoms = atom_rows(transform, positions, grid.points)
     weighted = _weights(transform, positions) * values
     return (weighted[None, :] @ np.conj(atoms)).real[0]
 
@@ -93,9 +94,25 @@ def render_original_frame(window: EventWindow) -> np.ndarray:
     """Net-polarity frame of a window: ``frame[y, x] = sum of p at (x, y)``."""
     frame = np.zeros((window.geometry.height, window.geometry.width), dtype=np.float64)
     if len(window):
-        _, xs, ys, ps = window.columns
-        np.add.at(frame, (ys, xs), ps)
+        np.add.at(frame, (window.events.y, window.events.x), window.events.p)
     return frame
+
+
+def reconstruct_window(descriptor: WindowDescriptor, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Reconstruct each retained pixel once; return its frame and temporal mass.
+
+    The frame holds each pixel's mean reconstructed signal (see
+    :func:`render_reconstructed_frame`); the mass is the rectified signal
+    ``|s_hat|`` per grid sample, pooled over pixels.
+    """
+    signals = np.zeros((len(descriptor.pixels), grid.samples), dtype=np.float64)
+    for row, retained in enumerate(descriptor.pixels.values()):
+        signals[row] = reconstruct_pixel(retained, descriptor.transform, grid)
+    frame = np.zeros((descriptor.geometry.height, descriptor.geometry.width), dtype=np.float64)
+    if descriptor.pixels:
+        xs, ys = np.array(list(descriptor.pixels)).T
+        frame[ys, xs] = signals.mean(axis=1)
+    return frame, np.abs(signals).sum(axis=0)
 
 
 def render_reconstructed_frame(descriptor: WindowDescriptor, grid: TimeGrid) -> np.ndarray:
@@ -104,8 +121,4 @@ def render_reconstructed_frame(descriptor: WindowDescriptor, grid: TimeGrid) -> 
     The midpoint-rule mean estimates ``integral_0^1 s_hat``, which equals
     the retained DC coefficient exactly whenever the DC atom is retained.
     """
-    frame = np.zeros((descriptor.geometry.height, descriptor.geometry.width), dtype=np.float64)
-    for (x, y), retained in descriptor.pixels.items():
-        signal = reconstruct_pixel(retained, descriptor.transform, grid)
-        frame[y, x] = signal.mean()
-    return frame
+    return reconstruct_window(descriptor, grid)[0]

@@ -26,13 +26,21 @@ position ``2^j + m`` always denotes scale ``j``, shift ``m``.
 Accumulation is always in double precision; dense windows sum thousands of
 terms.  No normalization factor is applied here: the sums are unnormalized
 inner products, and all normalization lives in reconstruction.
+
+Every family is evaluated by :func:`atom_rows`, which keeps two strategies
+for DCT and DTFT.  Encoding asks for a leading block and gets one-multiply
+recurrences (Chebyshev for DCT, phasor product for DTFT); reconstruction
+asks for retained positions and gets the closed forms.  Both stay because
+the golden digests pin the recurrence bits in the written descriptors and
+the closed-form bits in the reconstructed frames and metrics, and because
+the recurrences cost one multiply per sample while staying within 1e-12 of
+the closed forms on a 64-atom grid, far inside the 1e-9 bound required of
+fast evaluation paths.  Haar samples are exact, so DWT has one per-scale
+scatter that serves both.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -47,16 +55,14 @@ __all__ = [
     "AtomIndex",
     "AtomGrid",
     "CoefficientVector",
-    "atom_value",
-    "atom_matrix",
+    "atom_rows",
     "encode_pixel",
     "encode_window",
 ]
 
-# Leading-block atom matrices are built with one-multiply recurrences
-# (Chebyshev for DCT, phasor product for DTFT).  Accumulated rounding stays
-# below ~1e-12 of the closed forms for any practical grid size, far inside
-# the 1e-9 bit-compatibility bound required of fast evaluation paths.
+# Events per block of atom rows: encoding holds at most (K, CHUNK_EVENTS)
+# atom samples at once, however many events a window has.
+CHUNK_EVENTS = 32_768
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,147 +173,87 @@ class CoefficientVector:
         return vec
 
 
-def atom_value(index: AtomIndex, tau: float) -> float | complex:
-    """Evaluate one atom at one normalized time.
+def atom_rows(
+    transform: TransformKind,
+    atoms: int | np.ndarray,
+    taus: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sample atoms at the given times, each sample times its event's weight.
 
-    Returns a float for DCT/DWT and a complex value for DTFT.  ``tau`` must
-    lie in ``[0, 1)``.
+    ``atoms`` is a count, for the leading block of positions
+    ``0 .. atoms - 1`` (DWT counts must be powers of two: whole scales), or
+    an array of positions.  Returns one row per position and one column per
+    time, complex128 for DTFT and float64 otherwise: entry ``[r, i]`` is
+    ``weights[i] * phi_k(taus[i])`` for the ``r``-th position ``k``, with
+    weights of 1 when none are given.  ``taus`` must lie in ``[0, 1)``.
     """
-    if not (0.0 <= tau < 1.0):
-        raise ContractError(f"normalized time must lie in [0, 1), got {tau!r}")
-    if index.transform is TransformKind.DCT:
-        return math.cos(math.pi * index.position * tau)
-    if index.transform is TransformKind.DTFT:
-        return cmath.exp(-2j * math.pi * index.position * tau)
-    if index.position == 0:
-        return 1.0
-    j, m = index.scale_shift
-    u = tau * (1 << j) - m
-    if 0.0 <= u < 0.5:
-        return 2.0 ** (j / 2.0)
-    if 0.5 <= u < 1.0:
-        return -(2.0 ** (j / 2.0))
-    return 0.0
-
-
-def atom_matrix(transform: TransformKind, count: int, taus: np.ndarray) -> np.ndarray:
-    """Sample the leading ``count`` atoms at the given times.
-
-    Returns a ``(count, len(taus))`` matrix, complex128 for DTFT and float64
-    otherwise.  DWT requires ``count`` to be a power of two (whole scales).
-    """
-    AtomGrid(transform, count)  # reuse grid validation
     taus = np.asarray(taus, dtype=np.float64)
+    if np.ndim(atoms):
+        positions = np.asarray(atoms, dtype=np.int64)
+        if transform is TransformKind.DWT:  # Haar samples are exact: the leading block answers lookups
+            count = 1 << int(positions.max(initial=0)).bit_length()
+            return atom_rows(transform, count, taus, weights)[positions]
+        if transform is TransformKind.DCT:
+            rows = np.cos(np.pi * positions[:, None] * taus[None, :])
+        else:
+            rows = np.exp(-2j * np.pi * positions[:, None] * taus[None, :])
+        return rows if weights is None else rows * weights
+    count = int(atoms)
+    AtomGrid(transform, count)  # reuse grid validation
     n = taus.shape[0]
-    if transform is TransformKind.DCT:
-        out = np.empty((count, n), dtype=np.float64)
-        out[0] = 1.0
-        if count > 1:
-            np.cos(np.pi * taus, out=out[1])
-            two_c1 = 2.0 * out[1]
+    seed = 1.0 if weights is None else weights
+    if transform is TransformKind.DWT:
+        out = np.zeros((count, n), dtype=np.float64)
+        out[0] = seed
+        cols = np.arange(n)
+        for j in range(count.bit_length() - 1):
+            u = taus * (1 << j)
+            m = np.floor(u).astype(np.int64)  # active shift at this scale; tau < 1 keeps m < 2^j
+            amp = 2.0 ** (j / 2.0)
+            signs = np.where(u - m < 0.5, amp, -amp)
+            out[(1 << j) + m, cols] = signs if weights is None else signs * weights
+        return out
+    # Weights fold into the seed rows, so each recurrence step is one pass.
+    out = np.empty((count, n), dtype=np.complex128 if transform is TransformKind.DTFT else np.float64)
+    out[0] = seed
+    if count > 1:
+        first = np.cos(np.pi * taus) if transform is TransformKind.DCT else np.exp(-2j * np.pi * taus)
+        if weights is None:
+            out[1] = first
+        else:
+            np.multiply(first, weights, out=out[1])
+        if transform is TransformKind.DCT:
+            two_c1 = 2.0 * first
             for k in range(2, count):  # cos((k+1)x) = 2 cos(x) cos(kx) - cos((k-1)x)
                 np.subtract(two_c1 * out[k - 1], out[k - 2], out=out[k])
-        return out
-    if transform is TransformKind.DTFT:
-        out = np.empty((count, n), dtype=np.complex128)
-        out[0] = 1.0
-        if count > 1:
-            z = np.exp(-2j * np.pi * taus)
-            out[1] = z
+        else:
             for k in range(2, count):
-                np.multiply(out[k - 1], z, out=out[k])
-        return out
-    out = np.zeros((count, n), dtype=np.float64)
-    out[0] = 1.0
-    cols = np.arange(n)
-    for j in range(count.bit_length() - 1):
-        u = taus * (1 << j)
-        m = np.floor(u).astype(np.int64)  # active shift at this scale; tau < 1 keeps m < 2^j
-        amp = 2.0 ** (j / 2.0)
-        out[(1 << j) + m, cols] = np.where(u - m < 0.5, amp, -amp)
+                np.multiply(out[k - 1], first, out=out[k])
     return out
 
 
-_ROW_BUFFERS = threading.local()
+def _accumulate(grid: AtomGrid, taus: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Coefficients ``(len(starts), K)`` of events grouped by pixel.
 
-
-def _row_buffer(transform: TransformKind, count: int, n: int) -> np.ndarray:
-    """Reusable (count, n) scratch matrix, per thread and dtype.
-
-    Dense windows allocate tens of megabytes per encode; recycling one
-    buffer avoids page-fault churn that would otherwise dominate encode
-    time on large streams.
+    ``starts`` indexes the first event of each pixel's run.  Atom rows are
+    built for pixel-aligned chunks of at most :data:`CHUNK_EVENTS` events (a
+    pixel with more gets a chunk of its own) and summed with
+    ``np.add.reduceat``.  A run's sum does not depend on what else shares its
+    chunk, so a pixel gets the same bits from :func:`encode_pixel` and
+    :func:`encode_window`.
     """
-    dtype = np.complex128 if transform is TransformKind.DTFT else np.float64
-    cache = getattr(_ROW_BUFFERS, "cache", None)
-    if cache is None:
-        cache = _ROW_BUFFERS.cache = {}
-    buf = cache.get(dtype.__name__)
-    if buf is None or buf.shape[0] < count or buf.shape[1] < n:
-        rows = max(count, 0 if buf is None else buf.shape[0])
-        cols = max(n, 0 if buf is None else buf.shape[1])
-        buf = cache[dtype.__name__] = np.empty((rows, cols), dtype=dtype)
-    return buf[:count, :n]
-
-
-def _weighted_atom_rows(
-    transform: TransformKind, count: int, taus: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Leading-block atom samples pre-multiplied by per-event weights.
-
-    Folding the weights into the recurrence seeds makes each output row a
-    single pass, with no separate (count, n) product.  The result lives in
-    the shared scratch buffer: consume it before the next call.
-    """
-    n = taus.shape[0]
-    out = _row_buffer(transform, count, n)
-    if transform is TransformKind.DCT:
-        out[0] = weights
-        if count > 1:
-            cos1 = np.cos(np.pi * taus)
-            np.multiply(cos1, weights, out=out[1])
-            two_c1 = cos1
-            two_c1 *= 2.0  # cos1 is not needed past the seed row
-            for k in range(2, count):
-                np.subtract(two_c1 * out[k - 1], out[k - 2], out=out[k])
-        return out
-    if transform is TransformKind.DTFT:
-        out[0] = weights
-        if count > 1:
-            z = np.exp(-2j * np.pi * taus)
-            np.multiply(z, weights, out=out[1])
-            for k in range(2, count):
-                np.multiply(out[k - 1], z, out=out[k])
-        return out
-    out[:] = 0.0
-    out[0] = weights
-    cols = np.arange(n)
-    for j in range(count.bit_length() - 1):
-        u = taus * (1 << j)
-        m = np.floor(u).astype(np.int64)
-        amp = 2.0 ** (j / 2.0)
-        out[(1 << j) + m, cols] = np.where(u - m < 0.5, amp, -amp) * weights
-    return out
-
-
-def _rows_at_positions(transform: TransformKind, positions: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Sample arbitrary atom positions (closed forms, no recurrence)."""
-    taus = np.asarray(taus, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.int64)
-    if transform is TransformKind.DCT:
-        return np.cos(np.pi * positions[:, None] * taus[None, :])
-    if transform is TransformKind.DTFT:
-        return np.exp(-2j * np.pi * positions[:, None] * taus[None, :])
-    out = np.zeros((positions.shape[0], taus.shape[0]), dtype=np.float64)
-    for row, pos in enumerate(positions):
-        if pos == 0:
-            out[row] = 1.0
-            continue
-        j = int(pos).bit_length() - 1
-        m = int(pos) - (1 << j)
-        u = taus * (1 << j) - m
-        amp = 2.0 ** (j / 2.0)
-        out[row] = np.where((u >= 0.0) & (u < 0.5), amp, 0.0) - np.where((u >= 0.5) & (u < 1.0), amp, 0.0)
+    ends = np.append(starts[1:], taus.shape[0])
+    dtype = np.complex128 if grid.transform is TransformKind.DTFT else np.float64
+    out = np.empty((starts.shape[0], grid.candidate_count), dtype=dtype)
+    seg = 0
+    while seg < starts.shape[0]:
+        lo = starts[seg]
+        stop = max(seg + 1, int(np.searchsorted(ends, lo + CHUNK_EVENTS, side="right")))
+        hi = ends[stop - 1]
+        rows = atom_rows(grid.transform, grid.candidate_count, taus[lo:hi], weights[lo:hi])
+        out[seg:stop] = np.add.reduceat(rows, starts[seg:stop] - lo, axis=1).T
+        seg = stop
     return out
 
 
@@ -332,8 +278,7 @@ def encode_pixel(
     if taus.size == 0:
         dtype = np.complex128 if grid.transform is TransformKind.DTFT else np.float64
         return CoefficientVector(grid, np.zeros(grid.candidate_count, dtype=dtype))
-    rows = atom_matrix(grid.transform, grid.candidate_count, taus)
-    return CoefficientVector(grid, rows @ pol)
+    return CoefficientVector(grid, _accumulate(grid, taus, pol, np.zeros(1, dtype=np.int64))[0])
 
 
 def encode_window(
@@ -352,13 +297,12 @@ def encode_window(
     if n == 0:
         return {}
     taus = normalize_times(window)
-    _, xs, ys, ps = window.columns
-    pixel_ids = ys * window.geometry.width + xs
+    events = window.events
+    pixel_ids = events.y * window.geometry.width + events.x
     order = np.argsort(pixel_ids, kind="stable")  # stable: events stay time-ordered per pixel
     ids_sorted = pixel_ids[order]
     starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
-    weighted = _weighted_atom_rows(transform, candidate_count, taus[order], ps[order])
-    columns = np.ascontiguousarray(np.add.reduceat(weighted, starts, axis=1).T)
+    columns = _accumulate(grid, taus[order], events.p[order], starts)
     if not np.all(np.isfinite(columns)):
         raise ContractError("coefficient values must be finite")
     columns.setflags(write=False)

@@ -65,23 +65,16 @@ class TestBenchEncoders:
         with pytest.raises(ContractError):
             bench_encoders([], GEO, budget=8, candidate_count=16, repetitions=5)
 
-    def test_parallel_mode_reported(self):
-        report = bench_encoders(
-            small_stream(), GEO, budget=8, candidate_count=16, repetitions=5, threads=2
-        )
-        assert report.threads == 2
-
-    def test_parallel_throughput_divides_by_wall_time(self, monkeypatch):
+    def test_throughput_divides_by_wall_time(self, monkeypatch):
+        # each window takes 10 ms of wall time but reports 1 ms of encode time
         def sleepy(window, config, thresholds, window_index=0):
             time.sleep(0.01)
-            return None, DensitySnapshot(window_index, 0.0, None, config.force_transform, len(window), 0.01)
+            return None, DensitySnapshot(window_index, 0.0, None, config.force_transform, len(window), 0.001)
 
         monkeypatch.setattr(evcompress.bench, "compress_window", sleepy)
-        stream = small_stream()  # four windows of 50 ms: two rounds of two threads
-        one = bench_encoders(stream, GEO, budget=8, candidate_count=16, repetitions=5, window_duration=0.05)
-        two = bench_encoders(stream, GEO, budget=8, candidate_count=16, repetitions=5, window_duration=0.05,
-                             threads=2)
-        assert one.window_count == 4
+        stream = small_stream()
+        report = bench_encoders(stream, GEO, budget=8, candidate_count=16, repetitions=5, window_duration=0.05)
+        assert report.window_count == 4
+        wall_kev_s = len(stream) / (report.window_count * 0.01) / 1e3
         for transform in TransformKind:
-            ratio = two.encoders[transform].throughput_kev_s / one.encoders[transform].throughput_kev_s
-            assert 1.6 < ratio < 2.4
+            assert 0.5 * wall_kev_s < report.encoders[transform].throughput_kev_s <= wall_kev_s

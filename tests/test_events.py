@@ -77,6 +77,8 @@ class TestEventArray:
             arr.p = np.ones(3, dtype=np.int8)
         with pytest.raises(TypeError):
             arr[0] = Event(0.0, 0, 0, 1)
+        w = make_window(list(reversed(self.rows())), 0.0, 1.0, GEO)  # sorting takes an index array
+        assert not any(c.flags.writeable for c in (w.events.t, w.events.x, w.events.y, w.events.p))
 
     @pytest.mark.parametrize(
         "column,value",
@@ -97,11 +99,6 @@ class TestEventArray:
         arr = emulate(EmulatorConfig(geometry=GEO, duration=0.2, rate=200.0, seed=4))
         rebuilt = EventArray.from_events(list(arr))
         assert rebuilt == arr and len(arr) > 0
-
-    def test_window_columns_are_the_event_arrays(self):
-        w = make_window(list(reversed(self.rows())), 0.0, 1.0, GEO)  # sorting takes an index array
-        assert w.columns == (w.events.t, w.events.x, w.events.y, w.events.p)
-        assert not any(column.flags.writeable for column in w.columns)
 
 
 class TestMakeWindow:

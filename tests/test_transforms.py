@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,13 @@ from evcompress import (
     ContractError,
     SensorGeometry,
     TransformKind,
-    atom_matrix,
-    atom_value,
+    atom_rows,
     encode_pixel,
     encode_window,
     make_window,
 )
-from evcompress.events import Event
+from evcompress.events import Event, EventArray
+from evcompress.transforms import CHUNK_EVENTS
 
 from conftest import random_window
 from oracles import atom_sample, binned_coefficients
@@ -64,39 +66,50 @@ class TestAtomGrid:
             AtomGrid(TransformKind.DCT, 0)
 
 
+def at_positions(transform: TransformKind, positions, taus) -> np.ndarray:
+    return atom_rows(transform, np.array(positions), np.array(taus, dtype=np.float64))
+
+
 class TestAtomValue:
+    """``atom_rows`` at explicit positions: the closed forms (Haar: block lookups)."""
+
     def test_dct_dc_is_one(self):
-        for tau in (0.0, 0.3, 0.99):
-            assert atom_value(AtomIndex(TransformKind.DCT, 0), tau) == 1.0
+        np.testing.assert_array_equal(at_positions(TransformKind.DCT, [0], [0.0, 0.3, 0.99]), np.ones((1, 3)))
 
     def test_dtft_quarter_turn(self):
-        value = atom_value(AtomIndex(TransformKind.DTFT, 1), 0.25)
+        value = at_positions(TransformKind.DTFT, [1], [0.25])[0, 0]
         assert value == pytest.approx(-1j, abs=1e-15)
 
     def test_haar_second_half_is_negative(self):
-        assert atom_value(AtomIndex.haar(0, 0), 0.75) == -1.0
-        assert atom_value(AtomIndex.haar(0, 0), 0.25) == 1.0
+        assert at_positions(TransformKind.DWT, [AtomIndex.haar(0, 0).position], [0.75, 0.25]).tolist() == [[-1.0, 1.0]]
 
     def test_haar_off_support_is_zero(self):
-        assert atom_value(AtomIndex.haar(2, 0), 0.9) == 0.0
-
-    def test_rejects_tau_out_of_range(self):
-        with pytest.raises(ContractError):
-            atom_value(AtomIndex(TransformKind.DCT, 1), 1.0)
+        assert at_positions(TransformKind.DWT, [AtomIndex.haar(2, 0).position], [0.9])[0, 0] == 0.0
 
     @pytest.mark.parametrize("transform", ALL_TRANSFORMS)
     def test_matches_independent_closed_form(self, transform, rng):
-        for tau in rng.random(50):
-            for position in (0, 1, 2, 5, 17, 63):
-                got = atom_value(AtomIndex(transform, position), float(tau))
+        taus = rng.random(50)
+        positions = (0, 1, 2, 5, 17, 63)
+        rows = at_positions(transform, positions, taus)
+        assert rows.shape == (len(positions), 50)
+        for row, position in zip(rows, positions):
+            for got, tau in zip(row, taus):
                 assert got == pytest.approx(atom_sample(transform, position, float(tau)), abs=1e-15)
+
+    def test_dwt_positions_are_leading_block_rows(self, rng):
+        taus = rng.random(300)
+        block = atom_rows(TransformKind.DWT, 64, taus)
+        for positions in ([0], [5], [63, 0, 17, 2], list(range(64))):
+            np.testing.assert_array_equal(at_positions(TransformKind.DWT, positions, taus), block[positions])
 
 
 class TestAtomMatrix:
+    """``atom_rows`` for a leading block: the recurrences (Haar: the per-scale scatter)."""
+
     @pytest.mark.parametrize("transform", ALL_TRANSFORMS)
     def test_recurrences_match_closed_forms(self, transform, rng):
         taus = rng.random(257)
-        rows = atom_matrix(transform, 64, taus)
+        rows = atom_rows(transform, 64, taus)
         direct = np.array(
             [[atom_sample(transform, k, float(t)) for t in taus] for k in range(64)]
         )
@@ -105,7 +118,7 @@ class TestAtomMatrix:
     def test_haar_orthonormal_on_fine_grid(self):
         # midpoint grid resolves every scale in a 64-atom grid exactly
         points = (np.arange(2**16) + 0.5) / 2**16
-        rows = atom_matrix(TransformKind.DWT, 64, points)
+        rows = atom_rows(TransformKind.DWT, 64, points)
         gram = rows @ rows.T / 2**16
         np.testing.assert_allclose(gram, np.eye(64), rtol=0, atol=1e-3)
 
@@ -224,6 +237,44 @@ class TestEncodeWindow:
             taus = [(ev.t - w.t_start) / w.duration for ev in evs]
             want = encode_pixel(taus, [ev.p for ev in evs], grid).values
             np.testing.assert_allclose(out[key].values, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("transform", ALL_TRANSFORMS)
+    def test_every_pixel_equals_encode_pixel_bit_for_bit(self, transform, rng):
+        # more than one chunk of events, and one pixel with more than a chunk of its own
+        geo = SensorGeometry(height=20, width=30)
+        n = 2 * CHUNK_EVENTS + 5_000
+        xs = rng.integers(0, geo.width, n)
+        ys = rng.integers(0, geo.height, n)
+        hot = rng.random(n) < 0.6
+        xs[hot], ys[hot] = 7, 3
+        assert hot.sum() > CHUNK_EVENTS
+        events = EventArray(np.sort(rng.random(n)), xs, ys, rng.choice([-1, 1], n))
+        w = make_window(events, 0.0, 1.0, geo)
+        grid = AtomGrid(transform, 16)
+        out = encode_window(w, transform, 16)
+        assert len(out) == len(set(zip(xs.tolist(), ys.tolist())))
+        for (x, y), vec in out.items():
+            mine = (w.events.x == x) & (w.events.y == y)
+            assert np.array_equal(vec.values, encode_pixel(w.events.t[mine], w.events.p[mine], grid).values)
+
+    @pytest.mark.parametrize("transform", ALL_TRANSFORMS)
+    def test_dense_sensor_window_memory_is_bounded(self, transform, rng):
+        # a DAVIS346-sized window: 297k events over 346x260 pixels at K=64
+        geo = SensorGeometry(height=260, width=346)
+        n = 297_000
+        events = EventArray(
+            np.sort(rng.random(n)), rng.integers(0, geo.width, n), rng.integers(0, geo.height, n),
+            rng.choice([-1, 1], n),
+        )
+        w = make_window(events, 0.0, 1.0, geo)
+        tracemalloc.start()
+        try:
+            out = encode_window(w, transform, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = 16 if transform is TransformKind.DTFT else 8
+        assert peak <= len(out) * 64 * itemsize + 96 * 2**20
 
     def test_dwt_non_power_of_two_rejected(self, rng):
         w = random_window(rng, 10, self.GEO)
