@@ -3,12 +3,14 @@ from __future__ import annotations
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from evcompress import (
     AtomGrid,
     ConfigurationError,
@@ -324,6 +326,50 @@ class TestDescriptorFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="atom position"):
             read_descriptor(path)
+
+
+def read_outcome(read, path: Path):
+    """What a descriptor reader makes of a file: its fields, or its error class and message."""
+    try:
+        desc = read(path)
+    except EvCompressError as exc:
+        return type(exc), str(exc)
+    times = struct.pack("<dd", desc.t_start, desc.duration)  # bit patterns: a damaged file may hold NaN
+    return (desc.transform, desc.geometry, times, desc.budget, desc.candidate_count, dict(desc.pixels))
+
+
+class TestDescriptorReaderFuzz:
+    """Damaged descriptor files read exactly as the per-object reader in ``oracles`` reads them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(TransformKind)), st.data())
+    def test_truncation_or_overwritten_byte(self, seed, transform, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.eecv"
+            write_descriptor(random_descriptor(np.random.default_rng(seed), transform), path)
+            blob = bytearray(path.read_bytes())
+            if data.draw(st.booleans()):
+                blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+            else:
+                blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+            path.write_bytes(bytes(blob))
+            assert read_outcome(read_descriptor, path) == read_outcome(oracles.read_descriptor, path)
+
+    def test_huge_pixel_count_on_short_file(self, tmp_path, rng):
+        path = tmp_path / "d.eecv"
+        write_descriptor(random_descriptor(rng, TransformKind.DTFT), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 30, 0xFFFFFFFF)  # pixel_count, the last header field
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                read_descriptor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"byte {len(blob)}: truncated while reading pixel record"
+        assert peak < 2**20
 
 
 class TestEmulator:
