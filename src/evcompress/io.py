@@ -33,7 +33,7 @@ import numpy as np
 from .calibration import TransformKind
 from .errors import ConfigurationError, FormatError, ParseError, ValidationError
 from .events import Event, EventArray, SensorGeometry
-from .pruning import RetainedCoefficient, WindowDescriptor
+from .pruning import WindowDescriptor
 from .transforms import AtomGrid
 
 __all__ = [
@@ -54,9 +54,9 @@ _COORD_MAX = 0xFFFF
 DESCRIPTOR_MAGIC = b"EECV"
 DESCRIPTOR_VERSION = 1
 _HEADER = struct.Struct("<4sBBHHddHHI")  # magic, version, transform, H, W, t_start, duration, M, |K|, pixel_count
-_PIXEL_HEADER = struct.Struct("<HHH")  # x, y, r
-_ENTRY_REAL = struct.Struct("<Hf")  # atom position, value
-_ENTRY_COMPLEX = struct.Struct("<Hff")  # atom position, re, im
+_PIXEL_HEADER = np.dtype([("x", "<u2"), ("y", "<u2"), ("r", "<u2")])
+_ENTRY_REAL = np.dtype([("position", "<u2"), ("re", "<f4")])
+_ENTRY_COMPLEX = np.dtype([("position", "<u2"), ("re", "<f4"), ("im", "<f4")])
 
 EMULATOR_PATTERNS = ("uniform-noise", "moving-dot", "moving-edge")
 
@@ -147,6 +147,13 @@ def write_events(path: str | Path, events: Iterable[Event], format: str = "csv")
     raise ConfigurationError(f"unknown event format {format!r}")
 
 
+def _record_bytes(header_at: np.ndarray, body_size: int) -> np.ndarray:
+    """Mask of the pixel-header bytes in a body whose records start at ``header_at``."""
+    is_header = np.zeros(body_size, dtype=bool)
+    is_header[header_at[:, None] + np.arange(_PIXEL_HEADER.itemsize)] = True
+    return is_header
+
+
 def write_descriptor(descriptor: WindowDescriptor, path: str | Path) -> None:
     """Serialize a descriptor.
 
@@ -158,65 +165,55 @@ def write_descriptor(descriptor: WindowDescriptor, path: str | Path) -> None:
     written sorted by (y, x).  A value beyond the f32 range raises
     :class:`FormatError` naming its pixel and atom position.
     """
-    geo = descriptor.geometry
+    d = descriptor
+    geo = d.geometry
     for name, value in (("height", geo.height), ("width", geo.width),
-                        ("budget", descriptor.budget), ("candidate_count", descriptor.candidate_count)):
+                        ("budget", d.budget), ("candidate_count", d.candidate_count)):
         if value > _COORD_MAX:
             raise ValidationError(f"descriptor {name} {value} overflows u16")
-    parts = [
-        _HEADER.pack(
-            DESCRIPTOR_MAGIC,
-            DESCRIPTOR_VERSION,
-            int(descriptor.transform),
-            geo.height,
-            geo.width,
-            descriptor.t_start,
-            descriptor.duration,
-            descriptor.budget,
-            descriptor.candidate_count,
-            len(descriptor.pixels),
+    dtft = d.transform is TransformKind.DTFT
+    entries = np.empty(d.positions.shape[0], dtype=_ENTRY_COMPLEX if dtft else _ENTRY_REAL)
+    entries["position"] = d.positions
+    overflow = np.zeros(entries.shape[0], dtype=bool)
+    with np.errstate(over="ignore"):  # f64 -> f32 rounds as struct's "f" does; overflow is checked below
+        for name, part in zip(("re", "im"), (d.values.real, d.values.imag) if dtft else (d.values,)):
+            entries[name] = part
+            overflow |= np.isinf(entries[name]) & ~np.isinf(part)
+    if overflow.any():
+        first = int(np.argmax(overflow))
+        row = int(np.searchsorted(d.starts, first, side="right")) - 1
+        pid = int(d.pixel_ids[row])
+        raise FormatError(
+            f"pixel ({pid % geo.width}, {pid // geo.width}) atom position {int(d.positions[first])}: "
+            f"value {d.values[first].item()!r} outside the float32 range"
         )
-    ]
-    entry = _ENTRY_COMPLEX if descriptor.transform is TransformKind.DTFT else _ENTRY_REAL
-    for (x, y) in sorted(descriptor.pixels, key=lambda xy: (xy[1], xy[0])):
-        retained = descriptor.pixels[(x, y)]
-        parts.append(_PIXEL_HEADER.pack(x, y, len(retained)))
-        for rc in retained:
-            try:
-                if descriptor.transform is TransformKind.DTFT:
-                    value = complex(rc.value)
-                    parts.append(entry.pack(rc.index.position, value.real, value.imag))
-                else:
-                    parts.append(entry.pack(rc.index.position, rc.value))
-            except OverflowError as exc:
-                raise FormatError(
-                    f"pixel ({x}, {y}) atom position {rc.index.position}: "
-                    f"value {rc.value!r} outside the float32 range"
-                ) from exc
-    Path(path).write_bytes(b"".join(parts))
-
-
-class _Cursor:
-    """Byte reader that names the failing offset."""
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, fmt: struct.Struct, what: str) -> tuple:
-        end = self.offset + fmt.size
-        if end > len(self.blob):
-            raise FormatError(f"byte {self.offset}: truncated while reading {what}")
-        out = fmt.unpack_from(self.blob, self.offset)
-        self.offset = end
-        return out
+    headers = np.empty(d.pixel_ids.shape[0], dtype=_PIXEL_HEADER)
+    headers["x"] = d.pixel_ids % geo.width
+    headers["y"] = d.pixel_ids // geo.width
+    headers["r"] = d.counts
+    header = _HEADER.pack(DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, int(d.transform), geo.height, geo.width,
+                          d.t_start, d.duration, d.budget, d.candidate_count, headers.shape[0])
+    blob = np.empty(len(header) + headers.nbytes + entries.nbytes, dtype=np.uint8)
+    blob[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    body = blob[len(header):]
+    header_at = _PIXEL_HEADER.itemsize * np.arange(headers.shape[0]) + entries.itemsize * d.starts
+    is_header = _record_bytes(header_at, body.shape[0])
+    body[is_header] = headers.view(np.uint8)
+    body[~is_header] = entries.view(np.uint8)
+    Path(path).write_bytes(blob)
 
 
 def read_descriptor(path: str | Path) -> WindowDescriptor:
-    """Parse a descriptor file; the inverse of :func:`write_descriptor`."""
-    cursor = _Cursor(Path(path).read_bytes())
+    """Parse a descriptor file; the inverse of :func:`write_descriptor`.
+
+    A damaged file raises :class:`FormatError` naming the first byte at
+    which it departs from the layout.
+    """
+    blob = Path(path).read_bytes()
+    if len(blob) < _HEADER.size:
+        raise FormatError("byte 0: truncated while reading header")
     (magic, version, transform_code, height, width,
-     t_start, duration, budget, candidate_count, pixel_count) = cursor.take(_HEADER, "header")
+     t_start, duration, budget, candidate_count, pixel_count) = _HEADER.unpack_from(blob)
     if magic != DESCRIPTOR_MAGIC:
         raise FormatError(f"byte 0: bad magic {magic!r}, expected {DESCRIPTOR_MAGIC!r}")
     if version != DESCRIPTOR_VERSION:
@@ -227,54 +224,80 @@ def read_descriptor(path: str | Path) -> WindowDescriptor:
         raise FormatError(f"byte 5: unknown transform code {transform_code}") from exc
     try:
         geometry = SensorGeometry(height=height, width=width)
-        grid = AtomGrid(transform, candidate_count)
+        AtomGrid(transform, candidate_count)
         if budget < 1:
             raise ValidationError(f"budget must be >= 1, got {budget}")
     except (ValidationError, ConfigurationError) as exc:
         raise FormatError(f"byte 6: invalid header fields: {exc}") from exc
 
-    entry = _ENTRY_COMPLEX if transform is TransformKind.DTFT else _ENTRY_REAL
-    pixels: dict[tuple[int, int], tuple[RetainedCoefficient, ...]] = {}
+    dtft = transform is TransformKind.DTFT
+    entry = _ENTRY_COMPLEX if dtft else _ENTRY_REAL
+    # Each record's offset depends on the counts before it, so one walk finds
+    # them; it stops at the first record whose header is cut off.
+    size = len(blob)
+    header_at = []
+    offset = _HEADER.size
     for _ in range(pixel_count):
-        pixel_offset = cursor.offset
-        x, y, r = cursor.take(_PIXEL_HEADER, "pixel record")
-        if x >= width or y >= height:
-            raise FormatError(f"byte {pixel_offset}: pixel ({x}, {y}) outside {height}x{width} sensor")
-        if r > min(budget, candidate_count):
-            raise FormatError(f"byte {pixel_offset}: retained count {r} exceeds budget")
-        if (x, y) in pixels:
-            raise FormatError(f"byte {pixel_offset}: duplicate pixel ({x}, {y})")
-        retained = []
-        for _ in range(r):
-            entry_offset = cursor.offset
-            fields = cursor.take(entry, "coefficient entry")
-            position = fields[0]
-            if position >= candidate_count:
-                raise FormatError(
-                    f"byte {entry_offset}: atom position {position} outside grid of {candidate_count}"
-                )
-            value: float | complex
-            if transform is TransformKind.DTFT:
-                value = complex(fields[1], fields[2])
-                finite = math.isfinite(fields[1]) and math.isfinite(fields[2])
-            else:
-                value = fields[1]
-                finite = math.isfinite(fields[1])
-            if not finite:
-                raise FormatError(f"byte {entry_offset}: non-finite coefficient value")
-            retained.append(RetainedCoefficient(grid.indices[position], value))
-        pixels[(x, y)] = tuple(retained)
-    if cursor.offset != len(cursor.blob):
-        raise FormatError(f"byte {cursor.offset}: {len(cursor.blob) - cursor.offset} trailing bytes")
-    return WindowDescriptor(
-        transform=transform,
-        geometry=geometry,
-        t_start=t_start,
-        duration=duration,
-        budget=budget,
-        candidate_count=candidate_count,
-        pixels=pixels,
-    )
+        if offset + _PIXEL_HEADER.itemsize > size:
+            break
+        header_at.append(offset)
+        offset += _PIXEL_HEADER.itemsize + (blob[offset + 4] | blob[offset + 5] << 8) * entry.itemsize
+    failures = []  # (byte, what is wrong there); the earliest is reported
+    if len(header_at) < pixel_count:
+        failures.append((offset, "truncated while reading pixel record"))
+    elif offset < size:
+        failures.append((offset, f"{size - offset} trailing bytes"))
+
+    header_at = np.array(header_at, dtype=np.int64)
+    body = np.frombuffer(blob, dtype=np.uint8, count=min(offset, size) - _HEADER.size, offset=_HEADER.size)
+    is_header = _record_bytes(header_at - _HEADER.size, body.shape[0])
+    headers = body[is_header].view(_PIXEL_HEADER)
+    x, y, r = (headers[name].astype(np.int64) for name in ("x", "y", "r"))
+    entry_bytes = body[~is_header]
+    entries = entry_bytes[:entry_bytes.shape[0] - entry_bytes.shape[0] % entry.itemsize].view(entry)
+
+    ids = y * width + x
+    duplicate = np.ones(ids.shape[0], dtype=bool)
+    duplicate[np.unique(ids, return_index=True)[1]] = False
+    outside = (x >= width) | (y >= height)
+    excess = r > min(budget, candidate_count)
+    bad = outside | excess | duplicate
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = (f"pixel ({x[i]}, {y[i]}) outside {height}x{width} sensor" if outside[i]
+                else f"retained count {r[i]} exceeds budget" if excess[i] else f"duplicate pixel ({x[i]}, {y[i]})")
+        failures.append((int(header_at[i]), what))
+
+    starts = np.cumsum(r) - r
+
+    def entry_offset(j: int) -> int:
+        row = int(np.searchsorted(starts, j, side="right")) - 1
+        return int(header_at[row]) + _PIXEL_HEADER.itemsize + entry.itemsize * (j - int(starts[row]))
+
+    if entries.shape[0] < r.sum():
+        failures.append((entry_offset(entries.shape[0]), "truncated while reading coefficient entry"))
+    positions = entries["position"].astype(np.int64)
+    outside_grid = positions >= candidate_count
+    finite = np.isfinite(entries["re"])
+    if dtft:
+        finite &= np.isfinite(entries["im"])
+    bad = outside_grid | ~finite
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = (f"atom position {positions[j]} outside grid of {candidate_count}" if outside_grid[j]
+                else "non-finite coefficient value")
+        failures.append((entry_offset(j), what))
+    if failures:
+        byte, what = min(failures)
+        raise FormatError(f"byte {byte}: {what}")
+
+    values = np.empty(entries.shape[0], dtype=np.complex128 if dtft else np.float64)
+    if dtft:
+        values.real, values.imag = entries["re"], entries["im"]
+    else:
+        values[:] = entries["re"]
+    return WindowDescriptor.from_columns(transform, geometry, t_start, duration, budget, candidate_count,
+                                         ids, r, positions, values)
 
 
 @dataclass(frozen=True, slots=True)

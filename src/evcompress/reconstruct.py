@@ -66,6 +66,15 @@ def _weights(transform: TransformKind, positions: np.ndarray) -> np.ndarray:
     return np.where(positions == 0, 1.0, 2.0)
 
 
+def _signal(transform: TransformKind, positions: np.ndarray, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """One pixel's reconstruction on the grid from its retained positions and values."""
+    if positions.shape[0] == 0:
+        return np.zeros(grid.samples, dtype=np.float64)
+    atoms = atom_rows(transform, positions, grid.points)
+    weighted = _weights(transform, positions) * values
+    return (weighted[None, :] @ np.conj(atoms)).real[0]
+
+
 def reconstruct_pixel(
     retained: Sequence[RetainedCoefficient],
     transform: TransformKind,
@@ -76,18 +85,13 @@ def reconstruct_pixel(
     Returns a length-``grid.samples`` float array; an empty retained set
     yields the all-zero signal.
     """
-    if not retained:
-        return np.zeros(grid.samples, dtype=np.float64)
     for rc in retained:
         if rc.index.transform is not transform:
             raise ContractError(
                 f"retained coefficient from {rc.index.transform.name} in a {transform.name} reconstruction"
             )
     positions = np.array([rc.index.position for rc in retained], dtype=np.int64)
-    values = np.array([rc.value for rc in retained])
-    atoms = atom_rows(transform, positions, grid.points)
-    weighted = _weights(transform, positions) * values
-    return (weighted[None, :] @ np.conj(atoms)).real[0]
+    return _signal(transform, positions, np.array([rc.value for rc in retained]), grid)
 
 
 def render_original_frame(window: EventWindow) -> np.ndarray:
@@ -105,13 +109,13 @@ def reconstruct_window(descriptor: WindowDescriptor, grid: TimeGrid) -> tuple[np
     :func:`render_reconstructed_frame`); the mass is the rectified signal
     ``|s_hat|`` per grid sample, pooled over pixels.
     """
-    signals = np.zeros((len(descriptor.pixels), grid.samples), dtype=np.float64)
-    for row, retained in enumerate(descriptor.pixels.values()):
-        signals[row] = reconstruct_pixel(retained, descriptor.transform, grid)
-    frame = np.zeros((descriptor.geometry.height, descriptor.geometry.width), dtype=np.float64)
-    if descriptor.pixels:
-        xs, ys = np.array(list(descriptor.pixels)).T
-        frame[ys, xs] = signals.mean(axis=1)
+    d = descriptor
+    signals = np.zeros((d.pixel_ids.shape[0], grid.samples), dtype=np.float64)
+    for row in range(signals.shape[0]):
+        span = d.entries(row)
+        signals[row] = _signal(d.transform, d.positions[span], d.values[span], grid)
+    frame = np.zeros((d.geometry.height, d.geometry.width), dtype=np.float64)
+    frame.flat[d.pixel_ids] = signals.mean(axis=1)
     return frame, np.abs(signals).sum(axis=0)
 
 

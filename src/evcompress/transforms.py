@@ -41,6 +41,7 @@ scatter that serves both.
 
 from __future__ import annotations
 
+from collections.abc import Callable, ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -55,6 +56,8 @@ __all__ = [
     "AtomIndex",
     "AtomGrid",
     "CoefficientVector",
+    "PixelMap",
+    "WindowCoefficients",
     "atom_rows",
     "encode_pixel",
     "encode_window",
@@ -173,6 +176,71 @@ class CoefficientVector:
         return vec
 
 
+class PixelMap(Mapping):
+    """Read-only ``(x, y) -> item`` view of per-pixel columns.
+
+    ``pixel_ids`` holds ``y * width + x`` in ascending order, which is
+    row-major, i.e. (y, x), pixel order; ``item(row)`` builds the value of
+    the pixel in that row, only when it is read.
+    """
+
+    def __init__(self, width: int, pixel_ids: np.ndarray, item: Callable[[int], object]):
+        self.width = width
+        self.pixel_ids = pixel_ids
+        self._item = item
+
+    def __len__(self) -> int:
+        return self.pixel_ids.shape[0]
+
+    def __iter__(self):
+        width = self.width
+        return ((pid % width, pid // width) for pid in self.pixel_ids.tolist())
+
+    def __getitem__(self, key):
+        try:
+            x, y = key
+            inside = 0 <= x < self.width and y >= 0
+        except (TypeError, ValueError):
+            inside = False
+        if inside:
+            pid = y * self.width + x
+            row = int(np.searchsorted(self.pixel_ids, pid))
+            if row < len(self) and self.pixel_ids[row] == pid:
+                return self._item(row)
+        raise KeyError(key)
+
+    def items(self) -> ItemsView:
+        return _RowItems(self)
+
+    def values(self) -> ValuesView:
+        return _RowValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} pixels)"
+
+
+class _RowItems(ItemsView):
+    def __iter__(self):  # row by row, without a key lookup per item
+        return zip(self._mapping, map(self._mapping._item, range(len(self._mapping))))
+
+
+class _RowValues(ValuesView):
+    def __iter__(self):
+        return map(self._mapping._item, range(len(self._mapping)))
+
+
+class WindowCoefficients(PixelMap):
+    """Coefficients of a window's active pixels: row ``i`` of ``coeffs`` is pixel ``pixel_ids[i]``.
+
+    Reads as a mapping from ``(x, y)`` to :class:`CoefficientVector`.
+    """
+
+    def __init__(self, grid: AtomGrid, width: int, pixel_ids: np.ndarray, coeffs: np.ndarray):
+        super().__init__(width, pixel_ids, lambda row: CoefficientVector._trusted(grid, coeffs[row]))
+        self.grid = grid
+        self.coeffs = coeffs
+
+
 def atom_rows(
     transform: TransformKind,
     atoms: int | np.ndarray,
@@ -285,30 +353,29 @@ def encode_window(
     window: EventWindow,
     transform: TransformKind,
     candidate_count: int,
-) -> dict[tuple[int, int], CoefficientVector]:
+) -> WindowCoefficients:
     """Encode every active pixel of a window independently.
 
     The transform choice is window-level; accumulation is per pixel.  Pixels
     with no events are absent from the result (implicitly zero).  Keys are
-    ``(x, y)`` pairs in row-major pixel order.
+    ``(x, y)`` pairs in row-major pixel order; the result holds one
+    ``(pixels, K)`` coefficient matrix and the pixel ids, nothing per pixel.
     """
     grid = AtomGrid(transform, candidate_count)
-    n = len(window)
-    if n == 0:
-        return {}
+    width = window.geometry.width
+    dtype = np.complex128 if transform is TransformKind.DTFT else np.float64
+    if len(window) == 0:
+        return WindowCoefficients(grid, width, np.zeros(0, dtype=np.int64), np.zeros((0, candidate_count), dtype))
     taus = normalize_times(window)
     events = window.events
-    pixel_ids = events.y * window.geometry.width + events.x
+    pixel_ids = events.y * width + events.x
     order = np.argsort(pixel_ids, kind="stable")  # stable: events stay time-ordered per pixel
     ids_sorted = pixel_ids[order]
     starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
-    columns = _accumulate(grid, taus[order], events.p[order], starts)
-    if not np.all(np.isfinite(columns)):
+    coeffs = _accumulate(grid, taus[order], events.p[order], starts)
+    if not np.all(np.isfinite(coeffs)):
         raise ContractError("coefficient values must be finite")
-    columns.setflags(write=False)
-    out: dict[tuple[int, int], CoefficientVector] = {}
-    width = window.geometry.width
-    for seg, start in enumerate(starts):
-        pid = int(ids_sorted[start])
-        out[(pid % width, pid // width)] = CoefficientVector._trusted(grid, columns[seg])
-    return out
+    coeffs.setflags(write=False)
+    ids = ids_sorted[starts]
+    ids.setflags(write=False)
+    return WindowCoefficients(grid, width, ids, coeffs)

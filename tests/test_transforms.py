@@ -276,6 +276,26 @@ class TestEncodeWindow:
         itemsize = 16 if transform is TransformKind.DTFT else 8
         assert peak <= len(out) * 64 * itemsize + 96 * 2**20
 
+    @pytest.mark.parametrize("transform", ALL_TRANSFORMS)
+    def test_dense_sensor_window_holds_only_its_columns(self, transform, rng):
+        # the window above; once encode_window returns, only the (P, K) matrix and
+        # the pixel ids (16 B per pixel allowed) may stay allocated, nothing per pixel
+        geo = SensorGeometry(height=260, width=346)
+        n = 297_000
+        events = EventArray(
+            np.sort(rng.random(n)), rng.integers(0, geo.width, n), rng.integers(0, geo.height, n),
+            rng.choice([-1, 1], n),
+        )
+        w = make_window(events, 0.0, 1.0, geo)
+        tracemalloc.start()
+        try:
+            out = encode_window(w, transform, 64)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        itemsize = 16 if transform is TransformKind.DTFT else 8
+        assert held <= len(out) * (64 * itemsize + 16) + 2**20
+
     def test_dwt_non_power_of_two_rejected(self, rng):
         w = random_window(rng, 10, self.GEO)
         with pytest.raises(ConfigurationError):
