@@ -175,7 +175,7 @@ def write_descriptor(descriptor: WindowDescriptor, path: str | Path) -> None:
     entries = np.empty(d.positions.shape[0], dtype=_ENTRY_COMPLEX if dtft else _ENTRY_REAL)
     entries["position"] = d.positions
     overflow = np.zeros(entries.shape[0], dtype=bool)
-    with np.errstate(over="ignore"):  # f64 -> f32 rounds as struct's "f" does; overflow is checked below
+    with np.errstate(over="ignore"):  # f64 -> f32 rounds as struct's "f" does; overflow is caught here
         for name, part in zip(("re", "im"), (d.values.real, d.values.imag) if dtft else (d.values,)):
             entries[name] = part
             overflow |= np.isinf(entries[name]) & ~np.isinf(part)

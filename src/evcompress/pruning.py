@@ -113,19 +113,8 @@ class WindowDescriptor:
                   [rc.value for kept in retained for rc in kept])
 
     @classmethod
-    def from_columns(
-        cls,
-        transform: TransformKind,
-        geometry: SensorGeometry,
-        t_start: float,
-        duration: float,
-        budget: int,
-        candidate_count: int,
-        pixel_ids,
-        counts,
-        positions,
-        values,
-    ) -> "WindowDescriptor":
+    def from_columns(cls, transform: TransformKind, geometry: SensorGeometry, t_start: float, duration: float,
+                     budget: int, candidate_count: int, pixel_ids, counts, positions, values) -> "WindowDescriptor":
         """A descriptor over columns laid out as the class docstring says; pixels may come in any order."""
         self = object.__new__(cls)
         self._set(transform, geometry, t_start, duration, budget, candidate_count,
@@ -251,9 +240,7 @@ def _stack(per_pixel: Mapping[tuple[int, int], CoefficientVector], geometry: Sen
         if not (0 <= x < geometry.width and 0 <= y < geometry.height):
             raise ContractError(f"pixel ({x}, {y}) outside {geometry.height}x{geometry.width} sensor")
     ids = np.array([y * geometry.width + x for x, y in keys], dtype=np.int64)
-    if not keys:
-        return ids, np.zeros((0, candidate_count))
-    return ids, np.stack([per_pixel[key].values for key in keys])
+    return ids, np.array([per_pixel[key].values for key in keys]).reshape(-1, candidate_count)
 
 
 def pack_descriptor(
