@@ -54,7 +54,6 @@ from .metrics import (
     evaluate_window,
     event_time_histogram,
     mse,
-    reconstructed_time_histogram,
     ssim,
 )
 from .pipeline import (

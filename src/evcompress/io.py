@@ -162,8 +162,8 @@ def write_descriptor(descriptor: WindowDescriptor, path: str | Path) -> None:
     duration f64, budget u16, candidate_count u16, pixel_count u32; then per
     pixel: x u16, y u16, r u16 and ``r`` entries of atom position u16 plus
     value f32 (re and im f32 when the transform is DTFT).  Pixels are
-    written sorted by (y, x).  A value beyond the f32 range raises
-    :class:`FormatError` naming its pixel and atom position.
+    written sorted by (y, x).  A value that is NaN, infinite or beyond the
+    f32 range raises :class:`FormatError` naming its pixel and atom position.
     """
     d = descriptor
     geo = d.geometry
@@ -174,18 +174,18 @@ def write_descriptor(descriptor: WindowDescriptor, path: str | Path) -> None:
     dtft = d.transform is TransformKind.DTFT
     entries = np.empty(d.positions.shape[0], dtype=_ENTRY_COMPLEX if dtft else _ENTRY_REAL)
     entries["position"] = d.positions
-    overflow = np.zeros(entries.shape[0], dtype=bool)
+    unreadable = np.zeros(entries.shape[0], dtype=bool)
     with np.errstate(over="ignore"):  # f64 -> f32 rounds as struct's "f" does; overflow is caught here
         for name, part in zip(("re", "im"), (d.values.real, d.values.imag) if dtft else (d.values,)):
             entries[name] = part
-            overflow |= np.isinf(entries[name]) & ~np.isinf(part)
-    if overflow.any():
-        first = int(np.argmax(overflow))
+            unreadable |= ~np.isfinite(entries[name])  # the reader refuses NaN and inf
+    if unreadable.any():
+        first = int(np.argmax(unreadable))
         row = int(np.searchsorted(d.starts, first, side="right")) - 1
         pid = int(d.pixel_ids[row])
         raise FormatError(
             f"pixel ({pid % geo.width}, {pid // geo.width}) atom position {int(d.positions[first])}: "
-            f"value {d.values[first].item()!r} outside the float32 range"
+            f"value {d.values[first].item()!r} is not a finite float32"
         )
     headers = np.empty(d.pixel_ids.shape[0], dtype=_PIXEL_HEADER)
     headers["x"] = d.pixel_ids % geo.width
@@ -296,8 +296,8 @@ def read_descriptor(path: str | Path) -> WindowDescriptor:
         values.real, values.imag = entries["re"], entries["im"]
     else:
         values[:] = entries["re"]
-    return WindowDescriptor.from_columns(transform, geometry, t_start, duration, budget, candidate_count,
-                                         ids, r, positions, values)
+    return WindowDescriptor(transform, geometry, t_start, duration, budget, candidate_count,
+                            ids, r, positions, values)
 
 
 @dataclass(frozen=True, slots=True)

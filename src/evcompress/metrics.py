@@ -30,7 +30,6 @@ __all__ = [
     "ssim",
     "emd_temporal",
     "event_time_histogram",
-    "reconstructed_time_histogram",
     "evaluate_window",
     "METRICS_CSV_HEADER",
     "metrics_csv_row",
@@ -146,11 +145,6 @@ def event_time_histogram(window: EventWindow, bins: int) -> np.ndarray:
         idx = np.clip((taus * bins).astype(np.int64), 0, bins - 1)
         np.add.at(hist, idx, 1.0)
     return hist
-
-
-def reconstructed_time_histogram(descriptor: WindowDescriptor, grid: TimeGrid) -> np.ndarray:
-    """Rectified reconstructed mass per grid sample, pooled over pixels."""
-    return reconstruct_window(descriptor, grid)[1]
 
 
 def evaluate_window(

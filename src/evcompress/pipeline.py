@@ -182,15 +182,8 @@ def compress_window(
     # atoms need evaluating; magnitude selection needs the whole grid.
     eval_count = r if transform is TransformKind.DCT else config.candidate_count
     per_pixel = encode_window(window, transform, eval_count)
-    descriptor = pack_descriptor(
-        per_pixel,
-        RetentionPolicy(config.budget),
-        transform,
-        window.geometry,
-        window.t_start,
-        window.duration,
-        candidate_count=eval_count,
-    )
+    descriptor = pack_descriptor(per_pixel, RetentionPolicy(config.budget), transform, window.geometry,
+                                 window.t_start, window.duration)
     elapsed = time.perf_counter() - started
     snapshot = DensitySnapshot(
         window_index=window_index,

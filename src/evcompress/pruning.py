@@ -14,23 +14,25 @@ Two pruning rules, matched to how each transform concentrates energy:
 A coefficient counts as one unit of budget whether real or complex.
 
 Pruning runs once per window, on the whole ``(pixels, K)`` coefficient
-matrix: a slice for DCT, one row-wise stable argsort for DTFT and DWT.  A
-descriptor holds the result as columns (pixel ids, per-pixel counts, atom
-positions, values), and :func:`prune_dct` / :func:`prune_magnitude` are
-the same rule applied to one pixel.
+matrix that :func:`~evcompress.transforms.encode_window` returns: a slice
+for DCT, one row-wise stable argsort for DTFT and DWT.  A descriptor holds
+the result as columns (pixel ids, per-pixel counts, atom positions,
+values) and is built only from columns.  :func:`prune_dct` and
+:func:`prune_magnitude` are the same rule applied to one pixel's
+:class:`~evcompress.transforms.CoefficientVector`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from .calibration import TransformKind
 from .errors import ConfigurationError, ContractError
 from .events import SensorGeometry
-from .transforms import AtomGrid, AtomIndex, CoefficientVector, PixelMap, WindowCoefficients
+from .transforms import AtomGrid, AtomIndex, CoefficientVector, WindowCoefficients
 
 __all__ = [
     "RetentionPolicy",
@@ -79,61 +81,42 @@ class WindowDescriptor:
     magnitude (ties toward lower position) for DTFT/DWT.  Pixels whose
     candidate vector was entirely zero are absent.  Immutable once packed.
 
-    ``WindowDescriptor(transform, geometry, t_start, duration, budget,
-    candidate_count, pixels)`` builds one from a mapping of ``(x, y)`` to
-    :class:`RetainedCoefficient` sequences; :attr:`pixels` reads it back
-    that way.
+    The constructor takes those columns, pixels in any order, and sorts
+    them.  It raises :class:`ContractError` naming the first bad pixel for
+    whatever :func:`~evcompress.io.read_descriptor` would refuse once
+    written: a duplicate or off-sensor pixel, a count above the budget,
+    counts not summing to the entries, or a position off the grid.
     """
 
     __slots__ = ("transform", "geometry", "t_start", "duration", "budget", "candidate_count",
                  "pixel_ids", "counts", "starts", "positions", "values")
 
-    def __init__(
-        self,
-        transform: TransformKind,
-        geometry: SensorGeometry,
-        t_start: float,
-        duration: float,
-        budget: int,
-        candidate_count: int,
-        pixels: Mapping[tuple[int, int], Sequence[RetainedCoefficient]],
-    ) -> None:
-        keys = list(pixels)
-        retained = [tuple(pixels[key]) for key in keys]
-        for (x, y), kept in zip(keys, retained):
-            if not (0 <= x < geometry.width and 0 <= y < geometry.height):
-                raise ContractError(f"pixel ({x}, {y}) outside {geometry.height}x{geometry.width} sensor")
-            for rc in kept:
-                if rc.index.transform is not transform or rc.index.position >= candidate_count:
-                    raise ContractError(f"pixel ({x}, {y}) keeps {rc.index}, not an atom of a "
-                                        f"{transform.name} grid of {candidate_count}")
-        self._set(transform, geometry, t_start, duration, budget, candidate_count,
-                  [y * geometry.width + x for x, y in keys], [len(kept) for kept in retained],
-                  [rc.index.position for kept in retained for rc in kept],
-                  [rc.value for kept in retained for rc in kept])
-
-    @classmethod
-    def from_columns(cls, transform: TransformKind, geometry: SensorGeometry, t_start: float, duration: float,
-                     budget: int, candidate_count: int, pixel_ids, counts, positions, values) -> "WindowDescriptor":
-        """A descriptor over columns laid out as the class docstring says; pixels may come in any order."""
-        self = object.__new__(cls)
-        self._set(transform, geometry, t_start, duration, budget, candidate_count,
-                  pixel_ids, counts, positions, values)
-        return self
-
-    def _set(self, transform, geometry, t_start, duration, budget, candidate_count,
-             pixel_ids, counts, positions, values) -> None:
+    def __init__(self, transform: TransformKind, geometry: SensorGeometry, t_start: float, duration: float,
+                 budget: int, candidate_count: int, pixel_ids, counts, positions, values) -> None:
+        AtomGrid(transform, candidate_count)  # reuse grid validation
+        limit = retention_budget(budget, candidate_count)
         ids = np.asarray(pixel_ids, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
         values = np.asarray(values, dtype=np.complex128 if transform is TransformKind.DTFT else np.float64)
+        if ids.ndim != 1 or counts.shape != ids.shape or positions.ndim != 1 or values.shape != positions.shape:
+            raise ContractError("descriptor columns must be 1-D: one count per pixel id, one value per position")
+        # whole-column reductions here; the offending pixel is searched for only on failure
+        if (ids.size and (ids.min() < 0 or ids.max() >= geometry.pixel_count
+                          or counts.min() < 0 or counts.max() > limit)
+                or int(counts.sum()) != positions.shape[0]
+                or positions.size and (positions.min() < 0 or positions.max() >= candidate_count)):
+            _reject(transform, geometry, candidate_count, limit, ids, counts, positions)
         starts = np.cumsum(counts) - counts
-        if np.any(ids[1:] < ids[:-1]):
+        if ids.size > 1 and not np.all(ids[1:] > ids[:-1]):
             order = np.argsort(ids, kind="stable")
             ids, counts = ids[order], counts[order]
             moved = np.cumsum(counts) - counts
             entries = np.repeat(starts[order] - moved, counts) + np.arange(positions.shape[0])
             positions, values, starts = positions[entries], values[entries], moved
+            if np.any(ids[1:] == ids[:-1]):
+                pid = int(ids[np.argmax(ids[1:] == ids[:-1])])
+                raise ContractError(f"duplicate pixel ({pid % geometry.width}, {pid // geometry.width})")
         for name, value in (("transform", transform), ("geometry", geometry), ("t_start", t_start),
                             ("duration", duration), ("budget", budget), ("candidate_count", candidate_count),
                             ("pixel_ids", ids), ("counts", counts), ("starts", starts),
@@ -151,15 +134,12 @@ class WindowDescriptor:
         return slice(start, start + int(self.counts[row]))
 
     @property
-    def pixels(self) -> PixelMap:
-        """``(x, y)`` -> that pixel's :class:`RetainedCoefficient` tuple, built when read."""
-        indices = AtomGrid(self.transform, self.candidate_count).indices
-
-        def retained(row: int) -> tuple[RetainedCoefficient, ...]:
-            span = self.entries(row)
-            return _retained(indices, self.positions[span], self.values[span])
-
-        return PixelMap(self.geometry.width, self.pixel_ids, retained)
+    def pixels(self) -> dict[tuple[int, int], tuple[RetainedCoefficient, ...]]:
+        """``(x, y)`` -> that pixel's :class:`RetainedCoefficient` tuple, in (y, x) order, built on each read."""
+        kept = _retained(AtomGrid(self.transform, self.candidate_count).indices, self.positions, self.values)
+        width = self.geometry.width
+        return {(pid % width, pid // width): kept[start:start + count] for pid, start, count
+                in zip(self.pixel_ids.tolist(), self.starts.tolist(), self.counts.tolist())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WindowDescriptor):
@@ -178,6 +158,26 @@ class WindowDescriptor:
                 f"t_start={self.t_start!r}, duration={self.duration!r}, budget={self.budget}, "
                 f"candidate_count={self.candidate_count}, pixels={self.pixel_ids.shape[0]}, "
                 f"coefficients={self.positions.shape[0]})")
+
+
+def _reject(transform: TransformKind, geometry: SensorGeometry, candidate_count: int, limit: int,
+            ids: np.ndarray, counts: np.ndarray, positions: np.ndarray) -> NoReturn:
+    """Raise for the first pixel whose columns a whole-column check found wrong."""
+    end = 0
+    for pid, count in zip(ids.tolist(), counts.tolist()):
+        pixel = f"pixel ({pid % geometry.width}, {pid // geometry.width})"
+        start, end = end, end + count
+        if not 0 <= pid < geometry.pixel_count:
+            raise ContractError(f"{pixel} outside {geometry.height}x{geometry.width} sensor")
+        if not 0 <= count <= limit:
+            raise ContractError(f"{pixel} retained count {count} outside [0, {limit}]")
+        if end > positions.shape[0]:
+            raise ContractError(f"{pixel} counts entries past the last of {positions.shape[0]}")
+        outside = (positions[start:end] < 0) | (positions[start:end] >= candidate_count)
+        if outside.any():
+            raise ContractError(f"{pixel} keeps atom position {positions[start + np.argmax(outside)]}, "
+                                f"not an atom of a {transform.name} grid of {candidate_count}")
+    raise ContractError(f"{positions.shape[0] - end} entries belong to no pixel")
 
 
 def retention_budget(budget: int, candidate_count: int) -> int:
@@ -232,68 +232,34 @@ def prune_magnitude(coeffs: CoefficientVector, r: int) -> tuple[RetainedCoeffici
     return _retained(coeffs.grid.indices, positions, values)
 
 
-def _stack(per_pixel: Mapping[tuple[int, int], CoefficientVector], geometry: SensorGeometry,
-           candidate_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(pixel_ids, coeffs)`` of a mapping, rows in ascending pixel id."""
-    keys = sorted(per_pixel, key=lambda xy: (xy[1], xy[0]))
-    for x, y in keys:
-        if not (0 <= x < geometry.width and 0 <= y < geometry.height):
-            raise ContractError(f"pixel ({x}, {y}) outside {geometry.height}x{geometry.width} sensor")
-    ids = np.array([y * geometry.width + x for x, y in keys], dtype=np.int64)
-    return ids, np.array([per_pixel[key].values for key in keys]).reshape(-1, candidate_count)
-
-
 def pack_descriptor(
-    per_pixel: Mapping[tuple[int, int], CoefficientVector],
+    coefficients: WindowCoefficients,
     policy: RetentionPolicy,
     transform: TransformKind,
     geometry: SensorGeometry,
     t_start: float,
     duration: float,
-    candidate_count: int | None = None,
 ) -> WindowDescriptor:
-    """Prune every pixel's coefficients and pack them into a descriptor.
+    """Prune a window's coefficient matrix and pack what is kept into a descriptor.
 
-    All coefficient vectors must share one grid, whose transform must equal
-    ``transform``.  ``candidate_count`` is required when ``per_pixel`` is
-    empty (there is no grid to read it from) and must agree with the shared
-    grid otherwise.  Pixels whose vectors are entirely zero are dropped.
-    :func:`~evcompress.transforms.encode_window`'s result is pruned as the
-    matrix it holds; any other mapping is stacked into one first.
+    ``coefficients`` is :func:`~evcompress.transforms.encode_window`'s
+    result; its grid's transform must equal ``transform``, and its grid
+    size becomes the descriptor's ``candidate_count``.  Each row keeps
+    ``min(policy.budget, K)`` coefficients by the transform's rule, and
+    rows that are entirely zero are dropped.
     """
-    columnar = isinstance(per_pixel, WindowCoefficients) and per_pixel.width == geometry.width
-    if columnar:
-        grids = {per_pixel.grid} if len(per_pixel) else set()
-    else:
-        grids = {vec.grid for vec in per_pixel.values()}
-    if len(grids) > 1:
-        raise ContractError("all coefficient vectors in a window must share one grid")
-    if grids:
-        grid = next(iter(grids))
-        if grid.transform is not transform:
-            raise ContractError(
-                f"descriptor transform {transform.name} does not match grid transform {grid.transform.name}"
-            )
-        if candidate_count is not None and candidate_count != grid.candidate_count:
-            raise ContractError(
-                f"candidate_count {candidate_count} does not match grid size {grid.candidate_count}"
-            )
-        candidate_count = grid.candidate_count
-    elif candidate_count is None:
-        raise ConfigurationError("candidate_count is required when packing an empty window")
-    else:
-        AtomGrid(transform, candidate_count)  # validate even with no pixels
-
-    r = retention_budget(policy.budget, candidate_count)
-    if columnar:
-        ids, coeffs = per_pixel.pixel_ids, per_pixel.coeffs
-    else:
-        ids, coeffs = _stack(per_pixel, geometry, candidate_count)
+    grid = coefficients.grid
+    if grid.transform is not transform:
+        raise ContractError(
+            f"descriptor transform {transform.name} does not match grid transform {grid.transform.name}"
+        )
+    ids, coeffs = coefficients.pixel_ids, coefficients.coeffs
     live = np.any(coeffs, axis=1)
     if not live.all():
         ids, coeffs = ids[live], coeffs[live]
-    return WindowDescriptor.from_columns(transform, geometry, t_start, duration, policy.budget,
-                                         candidate_count, ids, *_prune(transform, coeffs, r))
+    r = retention_budget(policy.budget, grid.candidate_count)
+    return WindowDescriptor(transform, geometry, t_start, duration, policy.budget, grid.candidate_count,
+                            ids, *_prune(transform, coeffs, r))
 
 
 @dataclass(frozen=True)
@@ -302,21 +268,13 @@ class DenseTensor:
 
     Channel ``m`` of pixel ``(x, y)`` carries the real part of that pixel's
     m-th retained coefficient; channels past the retained count are exactly
-    zero.  ``channel_positions`` maps each pixel to its atom grid positions
-    in channel order, so the mapping back to the descriptor's real parts is
-    invertible.
+    zero.  The descriptor's ``positions`` name each channel's atom in the
+    same order, so the mapping back to its real parts is invertible.
     """
 
     values: np.ndarray
     transform: TransformKind
     budget: int
-    descriptor: WindowDescriptor
-
-    @property
-    def channel_positions(self) -> PixelMap:
-        """``(x, y)`` -> that pixel's atom positions in channel order, built when read."""
-        d = self.descriptor
-        return PixelMap(d.geometry.width, d.pixel_ids, lambda row: tuple(d.positions[d.entries(row)].tolist()))
 
 
 def to_dense_tensor(descriptor: WindowDescriptor) -> DenseTensor:
@@ -328,4 +286,4 @@ def to_dense_tensor(descriptor: WindowDescriptor) -> DenseTensor:
     values[np.repeat(descriptor.pixel_ids, descriptor.counts), channels] = descriptor.values.real
     values = values.reshape(h, w, m)
     values.setflags(write=False)
-    return DenseTensor(values=values, transform=descriptor.transform, budget=m, descriptor=descriptor)
+    return DenseTensor(values=values, transform=descriptor.transform, budget=m)

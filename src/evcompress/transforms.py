@@ -27,6 +27,10 @@ Accumulation is always in double precision; dense windows sum thousands of
 terms.  No normalization factor is applied here: the sums are unnormalized
 inner products, and all normalization lives in reconstruction.
 
+A window encodes to columns, never to per-pixel objects: :func:`encode_window`
+returns pixel ids and one ``(pixels, K)`` matrix, and :func:`encode_pixel`
+gives one pixel's row, bit for bit, as a :class:`CoefficientVector`.
+
 Every family is evaluated by :func:`atom_rows`, which keeps two strategies
 for DCT and DTFT.  Encoding asks for a leading block and gets one-multiply
 recurrences (Chebyshev for DCT, phasor product for DTFT); reconstruction
@@ -41,7 +45,6 @@ scatter that serves both.
 
 from __future__ import annotations
 
-from collections.abc import Callable, ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -56,7 +59,6 @@ __all__ = [
     "AtomIndex",
     "AtomGrid",
     "CoefficientVector",
-    "PixelMap",
     "WindowCoefficients",
     "atom_rows",
     "encode_pixel",
@@ -84,26 +86,6 @@ class AtomIndex:
     def __post_init__(self) -> None:
         if self.position < 0:
             raise ContractError(f"atom position must be >= 0, got {self.position}")
-
-    @property
-    def is_dc(self) -> bool:
-        """True for the constant atom (position 0 in every family)."""
-        return self.position == 0
-
-    @property
-    def scale_shift(self) -> tuple[int, int] | None:
-        """Haar ``(scale, shift)`` for a DWT wavelet atom, else None."""
-        if self.transform is not TransformKind.DWT or self.position == 0:
-            return None
-        j = self.position.bit_length() - 1
-        return j, self.position - (1 << j)
-
-    @classmethod
-    def haar(cls, scale: int, shift: int) -> "AtomIndex":
-        """DWT atom from ``(scale, shift)``; requires ``0 <= shift < 2**scale``."""
-        if scale < 0 or not (0 <= shift < (1 << scale)):
-            raise ContractError(f"invalid haar atom (scale={scale}, shift={shift})")
-        return cls(TransformKind.DWT, (1 << scale) + shift)
 
 
 @dataclass(frozen=True)
@@ -166,79 +148,17 @@ class CoefficientVector:
             return NotImplemented
         return self.grid == other.grid and np.array_equal(self.values, other.values)
 
-    @staticmethod
-    def _trusted(grid: AtomGrid, values: np.ndarray) -> "CoefficientVector":
-        # batch encoders validate whole coefficient matrices in one pass;
-        # re-checking per pixel would dominate dense-window encode time
-        vec = object.__new__(CoefficientVector)
-        object.__setattr__(vec, "grid", grid)
-        object.__setattr__(vec, "values", values)
-        return vec
 
+@dataclass(frozen=True, eq=False)
+class WindowCoefficients:
+    """A window's active pixels: ascending ids ``y * width + x`` and their ``(pixels, K)`` coefficients."""
 
-class PixelMap(Mapping):
-    """Read-only ``(x, y) -> item`` view of per-pixel columns.
-
-    ``pixel_ids`` holds ``y * width + x`` in ascending order, which is
-    row-major, i.e. (y, x), pixel order; ``item(row)`` builds the value of
-    the pixel in that row, only when it is read.
-    """
-
-    def __init__(self, width: int, pixel_ids: np.ndarray, item: Callable[[int], object]):
-        self.width = width
-        self.pixel_ids = pixel_ids
-        self._item = item
+    grid: AtomGrid
+    pixel_ids: np.ndarray
+    coeffs: np.ndarray
 
     def __len__(self) -> int:
         return self.pixel_ids.shape[0]
-
-    def __iter__(self):
-        width = self.width
-        return ((pid % width, pid // width) for pid in self.pixel_ids.tolist())
-
-    def __getitem__(self, key):
-        try:
-            x, y = key
-            inside = 0 <= x < self.width and y >= 0
-        except (TypeError, ValueError):
-            inside = False
-        if inside:
-            pid = y * self.width + x
-            row = int(np.searchsorted(self.pixel_ids, pid))
-            if row < len(self) and self.pixel_ids[row] == pid:
-                return self._item(row)
-        raise KeyError(key)
-
-    def items(self) -> ItemsView:
-        return _RowItems(self)
-
-    def values(self) -> ValuesView:
-        return _RowValues(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self)} pixels)"
-
-
-class _RowItems(ItemsView):
-    def __iter__(self):  # row by row, without a key lookup per item
-        return zip(self._mapping, map(self._mapping._item, range(len(self._mapping))))
-
-
-class _RowValues(ValuesView):
-    def __iter__(self):
-        return map(self._mapping._item, range(len(self._mapping)))
-
-
-class WindowCoefficients(PixelMap):
-    """Coefficients of a window's active pixels: row ``i`` of ``coeffs`` is pixel ``pixel_ids[i]``.
-
-    Reads as a mapping from ``(x, y)`` to :class:`CoefficientVector`.
-    """
-
-    def __init__(self, grid: AtomGrid, width: int, pixel_ids: np.ndarray, coeffs: np.ndarray):
-        super().__init__(width, pixel_ids, lambda row: CoefficientVector._trusted(grid, coeffs[row]))
-        self.grid = grid
-        self.coeffs = coeffs
 
 
 def atom_rows(
@@ -357,18 +277,16 @@ def encode_window(
     """Encode every active pixel of a window independently.
 
     The transform choice is window-level; accumulation is per pixel.  Pixels
-    with no events are absent from the result (implicitly zero).  Keys are
-    ``(x, y)`` pairs in row-major pixel order; the result holds one
-    ``(pixels, K)`` coefficient matrix and the pixel ids, nothing per pixel.
+    with no events are absent from the result (implicitly zero); an empty
+    window gives no rows but still carries its grid.
     """
     grid = AtomGrid(transform, candidate_count)
-    width = window.geometry.width
     dtype = np.complex128 if transform is TransformKind.DTFT else np.float64
     if len(window) == 0:
-        return WindowCoefficients(grid, width, np.zeros(0, dtype=np.int64), np.zeros((0, candidate_count), dtype))
+        return WindowCoefficients(grid, np.zeros(0, dtype=np.int64), np.zeros((0, candidate_count), dtype))
     taus = normalize_times(window)
     events = window.events
-    pixel_ids = events.y * width + events.x
+    pixel_ids = events.y * window.geometry.width + events.x
     order = np.argsort(pixel_ids, kind="stable")  # stable: events stay time-ordered per pixel
     ids_sorted = pixel_ids[order]
     starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
@@ -378,4 +296,4 @@ def encode_window(
     coeffs.setflags(write=False)
     ids = ids_sorted[starts]
     ids.setflags(write=False)
-    return WindowCoefficients(grid, width, ids, coeffs)
+    return WindowCoefficients(grid, ids, coeffs)

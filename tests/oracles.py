@@ -3,8 +3,9 @@
 Everything here is written from the definitions, deliberately avoiding the
 library's evaluation paths (recurrences, vectorized pruning, CDF tricks),
 so a test comparing the two routes actually checks something.  The
-exception is the second half: a frozen copy of the per-object descriptor
-path, which the columnar library must match bit for bit.
+exceptions are a frozen copy of the per-object descriptor path, which the
+columnar library must match bit for bit, and the per-pixel views of the
+library's columns that it and other tests read and build through.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from evcompress import (
     AtomGrid,
+    CoefficientVector,
     ConfigurationError,
     ContractError,
     FormatError,
@@ -29,6 +31,7 @@ from evcompress import (
     atom_rows,
     retention_budget,
 )
+from evcompress.transforms import WindowCoefficients
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -173,6 +176,54 @@ def emd_linear_program(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
+# Per-pixel views of the columns.
+#
+# The library keeps coefficients and descriptors as columns only; tests that
+# build or read one pixel at a time go through these.
+
+
+def coefficient_vectors(coefficients: WindowCoefficients, width: int) -> dict:
+    """``{(x, y): CoefficientVector}`` of an ``encode_window`` result, in (y, x) order."""
+    return {(pid % width, pid // width): CoefficientVector(coefficients.grid, row)
+            for pid, row in zip(coefficients.pixel_ids.tolist(), coefficients.coeffs)}
+
+
+def window_coefficients(vectors: dict, grid: AtomGrid, width: int) -> WindowCoefficients:
+    """The columns of ``{(x, y): CoefficientVector}`` over ``grid``, as ``encode_window`` lays them out."""
+    keys = sorted(vectors, key=lambda xy: (xy[1], xy[0]))
+    if any(vectors[key].grid != grid for key in keys):
+        raise ContractError("all coefficient vectors in a window must share one grid")
+    dtype = np.complex128 if grid.transform is TransformKind.DTFT else np.float64
+    coeffs = np.array([vectors[key].values for key in keys], dtype=dtype).reshape(-1, grid.candidate_count)
+    return WindowCoefficients(grid, np.array([y * width + x for x, y in keys], dtype=np.int64), coeffs)
+
+
+def descriptor_from_pixels(transform, geometry, t_start, duration, budget, candidate_count, pixels):
+    """A descriptor from ``{(x, y): RetainedCoefficient sequence}``, pixels in any order."""
+    keys = list(pixels)
+    kept = [tuple(pixels[key]) for key in keys]
+    for (x, y), retained in zip(keys, kept):
+        if not (0 <= x < geometry.width and 0 <= y < geometry.height):
+            raise ContractError(f"pixel ({x}, {y}) outside {geometry.height}x{geometry.width} sensor")
+        if any(rc.index.transform is not transform for rc in retained):
+            raise ContractError(f"pixel ({x}, {y}) keeps an atom of another transform than {transform.name}")
+    return WindowDescriptor(
+        transform, geometry, t_start, duration, budget, candidate_count,
+        pixel_ids=[y * geometry.width + x for x, y in keys],
+        counts=[len(retained) for retained in kept],
+        positions=[rc.index.position for retained in kept for rc in retained],
+        values=[rc.value for retained in kept for rc in retained],
+    )
+
+
+def channel_positions(descriptor: WindowDescriptor) -> dict:
+    """``{(x, y): atom positions}`` in the channel order of ``to_dense_tensor``."""
+    width = descriptor.geometry.width
+    return {(pid % width, pid // width): tuple(descriptor.positions[descriptor.entries(row)].tolist())
+            for row, pid in enumerate(descriptor.pixel_ids.tolist())}
+
+
+# --------------------------------------------------------------------------
 # The per-object descriptor path, frozen.
 #
 # These are the pruning, packing, descriptor I/O, dense-tensor and
@@ -241,30 +292,23 @@ def pack_descriptor(per_pixel, policy, transform, geometry, t_start, duration, c
         if not np.any(vec.values):
             continue
         pixels[key] = prune(vec, r)
-    return WindowDescriptor(
-        transform=transform,
-        geometry=geometry,
-        t_start=t_start,
-        duration=duration,
-        budget=policy.budget,
-        candidate_count=candidate_count,
-        pixels=pixels,
-    )
+    return descriptor_from_pixels(transform, geometry, t_start, duration, policy.budget, candidate_count, pixels)
 
 
 def write_descriptor(descriptor, path) -> None:
     geo = descriptor.geometry
+    pixels = descriptor.pixels  # built on each read of the attribute
     for name, value in (("height", geo.height), ("width", geo.width),
                         ("budget", descriptor.budget), ("candidate_count", descriptor.candidate_count)):
         if value > 0xFFFF:
             raise ValidationError(f"descriptor {name} {value} overflows u16")
     parts = [
         _HEADER.pack(b"EECV", 1, int(descriptor.transform), geo.height, geo.width, descriptor.t_start,
-                     descriptor.duration, descriptor.budget, descriptor.candidate_count, len(descriptor.pixels))
+                     descriptor.duration, descriptor.budget, descriptor.candidate_count, len(pixels))
     ]
     entry = _ENTRY_COMPLEX if descriptor.transform is TransformKind.DTFT else _ENTRY_REAL
-    for (x, y) in sorted(descriptor.pixels, key=lambda xy: (xy[1], xy[0])):
-        retained = descriptor.pixels[(x, y)]
+    for (x, y) in sorted(pixels, key=lambda xy: (xy[1], xy[0])):
+        retained = pixels[(x, y)]
         parts.append(_PIXEL_HEADER.pack(x, y, len(retained)))
         for rc in retained:
             try:
@@ -347,15 +391,7 @@ def read_descriptor(path):
         pixels[(x, y)] = tuple(retained)
     if cursor.offset != len(cursor.blob):
         raise FormatError(f"byte {cursor.offset}: {len(cursor.blob) - cursor.offset} trailing bytes")
-    return WindowDescriptor(
-        transform=transform,
-        geometry=geometry,
-        t_start=t_start,
-        duration=duration,
-        budget=budget,
-        candidate_count=candidate_count,
-        pixels=pixels,
-    )
+    return descriptor_from_pixels(transform, geometry, t_start, duration, budget, candidate_count, pixels)
 
 
 def to_dense_tensor(descriptor):
@@ -393,11 +429,12 @@ def reconstruct_pixel(retained, transform, grid):
 
 def reconstruct_window(descriptor, grid):
     """``(frame, mass)``: each retained pixel reconstructed once."""
-    signals = np.zeros((len(descriptor.pixels), grid.samples), dtype=np.float64)
-    for row, retained in enumerate(descriptor.pixels.values()):
+    pixels = descriptor.pixels
+    signals = np.zeros((len(pixels), grid.samples), dtype=np.float64)
+    for row, retained in enumerate(pixels.values()):
         signals[row] = reconstruct_pixel(retained, descriptor.transform, grid)
     frame = np.zeros((descriptor.geometry.height, descriptor.geometry.width), dtype=np.float64)
-    if descriptor.pixels:
-        xs, ys = np.array(list(descriptor.pixels)).T
+    if pixels:
+        xs, ys = np.array(list(pixels)).T
         frame[ys, xs] = signals.mean(axis=1)
     return frame, np.abs(signals).sum(axis=0)

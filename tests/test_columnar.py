@@ -87,12 +87,13 @@ def frozen_prune(transform: TransformKind):
 
 def assert_same_path(window, transform: TransformKind, count: int, budget: int, directory: Path,
                      views: bool = True) -> None:
-    """Encode to frame through both paths; ``views`` also compares the per-pixel mappings."""
+    """Encode to frame through both paths; ``views`` also compares the per-pixel reads."""
     geo = window.geometry
     per_pixel = encode_window(window, transform, count)
-    args = (per_pixel, RetentionPolicy(budget), transform, geo, window.t_start, window.duration, count)
-    packed = pack_descriptor(*args)
-    want = oracles.pack_descriptor(*args)
+    vectors = oracles.coefficient_vectors(per_pixel, geo.width)
+    args = (RetentionPolicy(budget), transform, geo, window.t_start, window.duration)
+    packed = pack_descriptor(per_pixel, *args)
+    want = oracles.pack_descriptor(vectors, *args, count)
     assert packed == want
 
     mine, theirs = directory / "mine.eecv", directory / "theirs.eecv"
@@ -114,9 +115,9 @@ def assert_same_path(window, transform: TransformKind, count: int, budget: int, 
     assert_same_frame_and_mass(packed)  # f64 values, before the file rounds them
     assert list(packed.pixels.items()) == list(want.pixels.items())
     assert list(read.pixels.items()) == list(frozen_read.pixels.items())
-    assert dict(dense.channel_positions) == channels
+    assert oracles.channel_positions(read) == channels
     prune, frozen = frozen_prune(transform)
-    for vec in per_pixel.values():
+    for vec in vectors.values():
         assert prune(vec, min(budget, count)) == frozen(vec, min(budget, count))
 
 

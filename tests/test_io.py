@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from evcompress import (
     AtomGrid,
+    CoefficientVector,
     ConfigurationError,
+    ContractError,
     EmulatorConfig,
     EvCompressError,
     Event,
@@ -53,15 +55,8 @@ def random_descriptor(rng: np.random.Generator, transform: TransformKind) -> Win
             else:
                 retained.append(RetainedCoefficient(grid.indices[int(pos)], re))
         pixels[key] = tuple(retained)
-    return WindowDescriptor(
-        transform=transform,
-        geometry=GEO,
-        t_start=float(np.float64(rng.random() * 10)),
-        duration=0.033,
-        budget=budget,
-        candidate_count=candidate_count,
-        pixels=pixels,
-    )
+    t_start = float(np.float64(rng.random() * 10))
+    return oracles.descriptor_from_pixels(transform, GEO, t_start, 0.033, budget, candidate_count, pixels)
 
 
 class TestEventCsv:
@@ -208,15 +203,7 @@ class TestEventReaderFuzz:
 class TestDescriptorFile:
     def test_empty_descriptor_file_size(self, tmp_path):
         # oracle: sum of header field widths = 4+1+1+2+2+8+8+2+2+4 = 34
-        desc = WindowDescriptor(
-            transform=TransformKind.DWT,
-            geometry=GEO,
-            t_start=0.0,
-            duration=0.033,
-            budget=16,
-            candidate_count=64,
-            pixels={},
-        )
+        desc = WindowDescriptor(TransformKind.DWT, GEO, 0.0, 0.033, 16, 64, [], [], [], [])
         path = tmp_path / "w.eecv"
         write_descriptor(desc, path)
         assert path.stat().st_size == 34
@@ -279,15 +266,8 @@ class TestDescriptorFile:
             read_descriptor(path)
 
     def test_truncated_pixel_record(self, tmp_path):
-        desc = WindowDescriptor(
-            transform=TransformKind.DCT,
-            geometry=GEO,
-            t_start=0.0,
-            duration=0.033,
-            budget=4,
-            candidate_count=8,
-            pixels={(1, 1): (RetainedCoefficient(AtomGrid(TransformKind.DCT, 8).indices[0], 1.0),)},
-        )
+        desc = WindowDescriptor(TransformKind.DCT, GEO, 0.0, 0.033, 4, 8,
+                                pixel_ids=[1 * 8 + 1], counts=[1], positions=[0], values=[1.0])
         path = tmp_path / "d.eecv"
         write_descriptor(desc, path)
         path.write_bytes(path.read_bytes()[:-2])
@@ -295,30 +275,14 @@ class TestDescriptorFile:
             read_descriptor(path)
 
     def test_value_beyond_float32_range_names_pixel_and_position(self, tmp_path):
-        grid = AtomGrid(TransformKind.DCT, 8)
-        desc = WindowDescriptor(
-            transform=TransformKind.DCT,
-            geometry=GEO,
-            t_start=0.0,
-            duration=0.033,
-            budget=4,
-            candidate_count=8,
-            pixels={(3, 5): (RetainedCoefficient(grid.indices[2], 1e39),)},
-        )
+        desc = WindowDescriptor(TransformKind.DCT, GEO, 0.0, 0.033, 4, 8,
+                                pixel_ids=[5 * 8 + 3], counts=[1], positions=[2], values=[1e39])
         with pytest.raises(FormatError, match=r"pixel \(3, 5\) atom position 2"):
             write_descriptor(desc, tmp_path / "d.eecv")
 
     def test_atom_position_outside_grid(self, tmp_path):
-        grid = AtomGrid(TransformKind.DCT, 8)
-        desc = WindowDescriptor(
-            transform=TransformKind.DCT,
-            geometry=GEO,
-            t_start=0.0,
-            duration=0.033,
-            budget=4,
-            candidate_count=8,
-            pixels={(1, 1): (RetainedCoefficient(grid.indices[7], 1.0),)},
-        )
+        desc = WindowDescriptor(TransformKind.DCT, GEO, 0.0, 0.033, 4, 8,
+                                pixel_ids=[1 * 8 + 1], counts=[1], positions=[7], values=[1.0])
         path = tmp_path / "d.eecv"
         write_descriptor(desc, path)
         blob = bytearray(path.read_bytes())
@@ -326,6 +290,90 @@ class TestDescriptorFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="atom position"):
             read_descriptor(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_value_names_pixel_and_position(self, tmp_path, value):
+        # the reader refuses NaN and inf, so the writer must not write them
+        transform = TransformKind.DTFT if isinstance(value, complex) else TransformKind.DCT
+        desc = WindowDescriptor(transform, GEO, 0.0, 0.033, 4, 8,
+                                pixel_ids=[5 * 8 + 3], counts=[1], positions=[2], values=[value])
+        with pytest.raises(FormatError, match=r"pixel \(3, 5\) atom position 2: .* not a finite float32"):
+            write_descriptor(desc, tmp_path / "d.eecv")
+
+
+# (pixel_ids, counts, positions) on GEO at budget 4 over a DCT grid of 8, and the error each must raise
+BAD_COLUMNS = {
+    "duplicate pixel": (([9, 9], [1, 1], [0, 1]), r"duplicate pixel \(1, 1\)"),
+    "duplicate pixel out of order": (([10, 9, 10], [1, 1, 1], [0, 1, 2]), r"duplicate pixel \(2, 1\)"),
+    "pixel past the sensor": (([9, 99], [1, 1], [0, 1]), r"pixel \(3, 12\) outside 8x8 sensor"),
+    "negative pixel id": (([-1], [1], [0]), r"pixel \(7, -1\) outside 8x8 sensor"),
+    "count above budget": (([9], [5], [0, 1, 2, 3, 4]), r"pixel \(1, 1\) retained count 5 outside \[0, 4\]"),
+    "negative count": (([9], [-1], []), r"pixel \(1, 1\) retained count -1"),
+    "counts past the entries": (([9, 10], [1, 2], [0, 1]), r"pixel \(2, 1\) counts entries past the last of 2"),
+    "entries past the counts": (([9], [1], [0, 1]), r"1 entries belong to no pixel"),
+    "position past the grid": (([9, 10], [1, 2], [0, 3, 8]), r"pixel \(2, 1\) keeps atom position 8"),
+    "negative position": (([9], [1], [-1]), r"pixel \(1, 1\) keeps atom position -1"),
+}
+
+
+class TestDescriptorColumns:
+    """The constructor refuses exactly the column sets whose file the reader would refuse."""
+
+    @pytest.mark.parametrize("columns,message", list(BAD_COLUMNS.values()), ids=list(BAD_COLUMNS))
+    def test_rejected(self, columns, message):
+        ids, counts, positions = columns
+        with pytest.raises(ContractError, match=message):
+            WindowDescriptor(TransformKind.DCT, GEO, 0.0, 0.033, 4, 8, ids, counts, positions,
+                             np.ones(len(positions)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(TransformKind)), st.data())
+    def test_refused_or_read_back_equal(self, transform, data):
+        count = data.draw(st.sampled_from([1, 2, 4, 8, 16]))
+        budget = data.draw(st.integers(1, 20))
+        wide = int(data.draw(st.booleans()))  # half the draws may step one past each bound
+        rows = data.draw(st.integers(0, 6))
+        ids = data.draw(st.lists(st.integers(-wide, GEO.pixel_count - 1 + wide), min_size=rows, max_size=rows))
+        counts = data.draw(st.lists(st.integers(-wide, min(budget, count) + wide), min_size=rows, max_size=rows))
+        n = max(0, sum(counts) + data.draw(st.integers(-wide, wide)))
+        positions = data.draw(st.lists(st.integers(-wide, count - 1 + wide), min_size=n, max_size=n))
+        part = st.floats(width=32, allow_nan=False, allow_infinity=False)  # exact through the f32 file
+        values = np.array(data.draw(st.lists(part, min_size=n, max_size=n)))
+        if transform is TransformKind.DTFT:
+            values = values + 1j * np.array(data.draw(st.lists(part, min_size=n, max_size=n)))
+        try:
+            desc = WindowDescriptor(transform, GEO, 0.5, 0.033, budget, count, ids, counts, positions, values)
+        except ContractError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.eecv"
+            write_descriptor(desc, path)
+            assert read_descriptor(path) == desc
+
+
+class TestPerPixelHelpers:
+    """The per-pixel views in ``oracles`` invert the columns they read and build."""
+
+    @pytest.mark.parametrize("transform", list(TransformKind))
+    def test_round_trip_on_random_descriptors(self, rng, transform):
+        for _ in range(25):
+            desc = random_descriptor(rng, transform)
+            pixels = desc.pixels
+            assert list(pixels) == sorted(pixels, key=lambda xy: (xy[1], xy[0]))
+            assert oracles.descriptor_from_pixels(desc.transform, desc.geometry, desc.t_start, desc.duration,
+                                                  desc.budget, desc.candidate_count, pixels) == desc
+            assert oracles.channel_positions(desc) == {
+                key: tuple(rc.index.position for rc in kept) for key, kept in pixels.items()
+            }
+            grid = AtomGrid(transform, desc.candidate_count)
+            vectors = {}
+            for key, kept in pixels.items():
+                row = np.zeros(grid.candidate_count, np.complex128 if transform is TransformKind.DTFT else np.float64)
+                row[[rc.index.position for rc in kept]] = [rc.value for rc in kept]
+                vectors[key] = CoefficientVector(grid, row)
+            columns = oracles.window_coefficients(vectors, grid, GEO.width)
+            assert np.array_equal(columns.pixel_ids, desc.pixel_ids)
+            assert list(oracles.coefficient_vectors(columns, GEO.width).items()) == list(vectors.items())
 
 
 def read_outcome(read, path: Path):

@@ -15,6 +15,7 @@ from evcompress import (
     evaluate_window,
     event_time_histogram,
     encode_window,
+    make_window,
     mse,
     pack_descriptor,
     ssim,
@@ -135,19 +136,18 @@ class TestEvaluateWindow:
         assert report.ssim == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_window_and_descriptor(self):
-        from evcompress import make_window
-
         w = make_window([], 0.0, 0.033, GEO16)
-        desc = pack_descriptor({}, RetentionPolicy(8), TransformKind.DWT, GEO16, 0.0, 0.033, candidate_count=8)
+        desc = pack_descriptor(encode_window(w, TransformKind.DWT, 8), RetentionPolicy(8), TransformKind.DWT,
+                               GEO16, 0.0, 0.033)
         report = evaluate_window(w, desc, TimeGrid(64))
         assert report.mse == 0.0
         assert report.emd == 0.0
 
     def test_geometry_mismatch_rejected(self, rng):
         w = random_window(rng, 10, GEO16)
-        desc = pack_descriptor(
-            {}, RetentionPolicy(8), TransformKind.DWT, SensorGeometry(12, 12), 0.0, w.duration, candidate_count=8
-        )
+        empty = make_window([], 0.0, w.duration, SensorGeometry(12, 12))
+        desc = pack_descriptor(encode_window(empty, TransformKind.DWT, 8), RetentionPolicy(8), TransformKind.DWT,
+                               SensorGeometry(12, 12), 0.0, w.duration)
         with pytest.raises(ContractError):
             evaluate_window(w, desc, TimeGrid(64))
 

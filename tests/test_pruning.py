@@ -22,7 +22,7 @@ from evcompress import (
 )
 
 from conftest import random_window
-from oracles import best_subset_energy
+from oracles import best_subset_energy, channel_positions, coefficient_vectors, window_coefficients
 
 GEO = SensorGeometry(height=4, width=4)
 
@@ -143,45 +143,38 @@ class TestPruneMagnitude:
 
 class TestPackDescriptor:
     def test_empty_map(self):
-        desc = pack_descriptor({}, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 0.033, candidate_count=8)
+        empty = window_coefficients({}, AtomGrid(TransformKind.DWT, 8), GEO.width)
+        desc = pack_descriptor(empty, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 0.033)
         assert desc.pixels == {}
         assert desc.candidate_count == 8
-
-    def test_empty_map_requires_candidate_count(self):
-        with pytest.raises(ConfigurationError):
-            pack_descriptor({}, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 0.033)
 
     def test_dct_keeps_first_sixteen_of_sixty_four(self, rng):
         grid = AtomGrid(TransformKind.DCT, 64)
         vec = CoefficientVector(grid, rng.normal(size=64))
-        desc = pack_descriptor({(1, 2): vec}, RetentionPolicy(16), TransformKind.DCT, GEO, 0.0, 0.033)
+        coeffs = window_coefficients({(1, 2): vec}, grid, GEO.width)
+        desc = pack_descriptor(coeffs, RetentionPolicy(16), TransformKind.DCT, GEO, 0.0, 0.033)
         assert [rc.index.position for rc in desc.pixels[(1, 2)]] == list(range(16))
 
     def test_dwt_strictly_decreasing_magnitudes_keep_prefix(self, rng):
         # oracle: sort-by-magnitude on strictly decreasing values is the prefix
         values = np.linspace(8.0, 1.0, 8)
         vec = vector(TransformKind.DWT, values)
-        desc = pack_descriptor({(0, 0): vec}, RetentionPolicy(3), TransformKind.DWT, GEO, 0.0, 0.033)
+        coeffs = window_coefficients({(0, 0): vec}, vec.grid, GEO.width)
+        desc = pack_descriptor(coeffs, RetentionPolicy(3), TransformKind.DWT, GEO, 0.0, 0.033)
         assert [rc.index.position for rc in desc.pixels[(0, 0)]] == [0, 1, 2]
 
     def test_all_zero_pixels_dropped(self):
         zero = vector(TransformKind.DWT, np.zeros(8))
         lively = vector(TransformKind.DWT, np.arange(8.0))
-        desc = pack_descriptor(
-            {(0, 0): zero, (1, 0): lively}, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 0.033
-        )
+        coeffs = window_coefficients({(0, 0): zero, (1, 0): lively}, zero.grid, GEO.width)
+        desc = pack_descriptor(coeffs, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 0.033)
         assert set(desc.pixels) == {(1, 0)}
-
-    def test_mixed_grids_rejected(self):
-        a = vector(TransformKind.DWT, np.ones(8))
-        b = vector(TransformKind.DWT, np.ones(16))
-        with pytest.raises(ContractError):
-            pack_descriptor({(0, 0): a, (1, 0): b}, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 0.033)
 
     def test_transform_mismatch_rejected(self):
         a = vector(TransformKind.DWT, np.ones(8))
-        with pytest.raises(ContractError):
-            pack_descriptor({(0, 0): a}, RetentionPolicy(4), TransformKind.DCT, GEO, 0.0, 0.033)
+        coeffs = window_coefficients({(0, 0): a}, a.grid, GEO.width)
+        with pytest.raises(ContractError, match="does not match"):
+            pack_descriptor(coeffs, RetentionPolicy(4), TransformKind.DCT, GEO, 0.0, 0.033)
 
     @pytest.mark.parametrize("transform", [TransformKind.DCT, TransformKind.DTFT, TransformKind.DWT])
     def test_budget_law(self, transform, rng):
@@ -190,14 +183,16 @@ class TestPackDescriptor:
         desc = pack_descriptor(per_pixel, RetentionPolicy(6), transform, GEO, w.t_start, w.duration)
         for retained in desc.pixels.values():
             assert len(retained) <= 6
-        dense_pixels = [k for k, v in per_pixel.items() if np.count_nonzero(v.values) >= 6]
+        vectors = coefficient_vectors(per_pixel, GEO.width)
+        dense_pixels = [k for k, v in vectors.items() if np.count_nonzero(v.values) >= 6]
         for key in dense_pixels:
             assert len(desc.pixels[key]) == 6
 
 
 class TestDenseTensor:
     def test_zero_pixel_descriptor(self):
-        desc = pack_descriptor({}, RetentionPolicy(4), TransformKind.DCT, GEO, 0.0, 0.033, candidate_count=8)
+        empty = window_coefficients({}, AtomGrid(TransformKind.DCT, 8), GEO.width)
+        desc = pack_descriptor(empty, RetentionPolicy(4), TransformKind.DCT, GEO, 0.0, 0.033)
         tensor = to_dense_tensor(desc)
         assert tensor.values.shape == (4, 4, 4)
         assert not tensor.values.any()
@@ -205,7 +200,8 @@ class TestDenseTensor:
     def test_full_fiber_matches_retained_order(self, rng):
         grid = AtomGrid(TransformKind.DTFT, 4)
         vec = CoefficientVector(grid, rng.normal(size=4) + 1j * rng.normal(size=4))
-        desc = pack_descriptor({(2, 1): vec}, RetentionPolicy(4), TransformKind.DTFT, GEO, 0.0, 0.033)
+        coeffs = window_coefficients({(2, 1): vec}, grid, GEO.width)
+        desc = pack_descriptor(coeffs, RetentionPolicy(4), TransformKind.DTFT, GEO, 0.0, 0.033)
         tensor = to_dense_tensor(desc)
         fiber = tensor.values[1, 2]
         np.testing.assert_array_equal(fiber, [rc.value.real for rc in desc.pixels[(2, 1)]])
@@ -215,10 +211,10 @@ class TestDenseTensor:
         per_pixel = encode_window(w, TransformKind.DTFT, 8)
         desc = pack_descriptor(per_pixel, RetentionPolicy(5), TransformKind.DTFT, GEO, w.t_start, w.duration)
         tensor = to_dense_tensor(desc)
-        # identity round-trip: tensor + channel metadata reproduces real parts
+        # identity round-trip: tensor + the descriptor's positions reproduce real parts
         for key, retained in desc.pixels.items():
             x, y = key
-            positions = tensor.channel_positions[key]
+            positions = channel_positions(desc)[key]
             assert positions == tuple(rc.index.position for rc in retained)
             for chan, rc in enumerate(retained):
                 assert tensor.values[y, x, chan] == rc.value.real
@@ -227,7 +223,7 @@ class TestDenseTensor:
     def test_deterministic_packing(self, rng):
         w = random_window(rng, 80, GEO)
         per_pixel = encode_window(w, TransformKind.DWT, 8)
-        a = to_dense_tensor(pack_descriptor(per_pixel, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 1.0))
-        b = to_dense_tensor(pack_descriptor(per_pixel, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 1.0))
-        assert np.array_equal(a.values, b.values)
-        assert a.channel_positions == b.channel_positions
+        a = pack_descriptor(per_pixel, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 1.0)
+        b = pack_descriptor(per_pixel, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 1.0)
+        assert np.array_equal(to_dense_tensor(a).values, to_dense_tensor(b).values)
+        assert channel_positions(a) == channel_positions(b)

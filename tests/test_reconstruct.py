@@ -142,7 +142,8 @@ class TestRenderOriginalFrame:
 
 class TestRenderReconstructedFrame:
     def test_zero_pixel_descriptor(self):
-        desc = pack_descriptor({}, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 1.0, candidate_count=8)
+        empty = encode_window(make_window([], 0.0, 1.0, GEO), TransformKind.DWT, 8)
+        desc = pack_descriptor(empty, RetentionPolicy(4), TransformKind.DWT, GEO, 0.0, 1.0)
         assert not render_reconstructed_frame(desc, GRID).any()
 
     @pytest.mark.parametrize("transform", ALL_TRANSFORMS)

@@ -7,7 +7,6 @@ import pytest
 
 from evcompress import (
     AtomGrid,
-    AtomIndex,
     ConfigurationError,
     ContractError,
     SensorGeometry,
@@ -21,41 +20,15 @@ from evcompress.events import Event, EventArray
 from evcompress.transforms import CHUNK_EVENTS
 
 from conftest import random_window
-from oracles import atom_sample, binned_coefficients
+from oracles import atom_sample, binned_coefficients, coefficient_vectors
 
 ALL_TRANSFORMS = (TransformKind.DCT, TransformKind.DTFT, TransformKind.DWT)
-
-
-class TestAtomIndex:
-    def test_haar_position_layout(self):
-        assert AtomIndex.haar(0, 0).position == 1
-        assert AtomIndex.haar(1, 0).position == 2
-        assert AtomIndex.haar(1, 1).position == 3
-        assert AtomIndex.haar(2, 3).position == 7
-
-    def test_scale_shift_round_trip(self):
-        for position in range(1, 64):
-            idx = AtomIndex(TransformKind.DWT, position)
-            j, m = idx.scale_shift
-            assert AtomIndex.haar(j, m) == idx
-            assert 0 <= m < (1 << j)
-
-    def test_shift_bounded_by_scale(self):
-        with pytest.raises(ContractError):
-            AtomIndex.haar(1, 2)
-
-    def test_dc_flag(self):
-        assert AtomIndex(TransformKind.DCT, 0).is_dc
-        assert not AtomIndex(TransformKind.DWT, 5).is_dc
 
 
 class TestAtomGrid:
     def test_canonical_ordering_is_by_position(self):
         grid = AtomGrid(TransformKind.DWT, 8)
         assert [idx.position for idx in grid.indices] == list(range(8))
-        assert [idx.scale_shift for idx in grid.indices] == [
-            None, (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3),
-        ]
 
     def test_dwt_requires_power_of_two(self):
         with pytest.raises(ConfigurationError):
@@ -81,10 +54,11 @@ class TestAtomValue:
         assert value == pytest.approx(-1j, abs=1e-15)
 
     def test_haar_second_half_is_negative(self):
-        assert at_positions(TransformKind.DWT, [AtomIndex.haar(0, 0).position], [0.75, 0.25]).tolist() == [[-1.0, 1.0]]
+        # position 2^j + m is scale j, shift m: position 1 is (0, 0)
+        assert at_positions(TransformKind.DWT, [1], [0.75, 0.25]).tolist() == [[-1.0, 1.0]]
 
     def test_haar_off_support_is_zero(self):
-        assert at_positions(TransformKind.DWT, [AtomIndex.haar(2, 0).position], [0.9])[0, 0] == 0.0
+        assert at_positions(TransformKind.DWT, [4], [0.9])[0, 0] == 0.0  # scale 2, shift 0: [0, 1/4)
 
     @pytest.mark.parametrize("transform", ALL_TRANSFORMS)
     def test_matches_independent_closed_form(self, transform, rng):
@@ -216,18 +190,20 @@ class TestEncodeWindow:
 
     def test_empty_window(self):
         w = make_window([], 0.0, 1.0, self.GEO)
-        assert encode_window(w, TransformKind.DCT, 8) == {}
+        out = encode_window(w, TransformKind.DCT, 8)
+        assert len(out) == 0 and out.coeffs.shape == (0, 8)
+        assert out.grid == AtomGrid(TransformKind.DCT, 8)
 
     def test_single_pixel(self):
         evs = [Event(0.1, 3, 2, 1), Event(0.5, 3, 2, -1)]
         w = make_window(evs, 0.0, 1.0, self.GEO)
         out = encode_window(w, TransformKind.DCT, 8)
-        assert set(out) == {(3, 2)}
+        assert out.pixel_ids.tolist() == [2 * self.GEO.width + 3]
 
     @pytest.mark.parametrize("transform", ALL_TRANSFORMS)
     def test_matches_per_pixel_partition_oracle(self, transform, rng):
         w = random_window(rng, 100, self.GEO)
-        out = encode_window(w, transform, 16)
+        out = coefficient_vectors(encode_window(w, transform, 16), self.GEO.width)
         grid = AtomGrid(transform, 16)
         by_pixel: dict[tuple[int, int], list[Event]] = {}
         for ev in w.events:
@@ -251,7 +227,7 @@ class TestEncodeWindow:
         events = EventArray(np.sort(rng.random(n)), xs, ys, rng.choice([-1, 1], n))
         w = make_window(events, 0.0, 1.0, geo)
         grid = AtomGrid(transform, 16)
-        out = encode_window(w, transform, 16)
+        out = coefficient_vectors(encode_window(w, transform, 16), geo.width)
         assert len(out) == len(set(zip(xs.tolist(), ys.tolist())))
         for (x, y), vec in out.items():
             mine = (w.events.x == x) & (w.events.y == y)
